@@ -16,5 +16,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.9",
-    install_requires=["numpy>=1.21", "scipy>=1.8", "networkx>=2.8"],
+    install_requires=["numpy>=2.0", "scipy>=1.8", "networkx>=2.8"],
 )

@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.graph.decoding_graph import BOUNDARY_SENTINEL, DecodingGraph
+from repro.utils.bits import events_from_packed, unique_rows
 
 
 def batch_event_list(batch_events) -> Sequence[Sequence[int]]:
@@ -40,34 +41,26 @@ def unique_syndromes(
 
     Returns ``(uniques, inverse)`` where ``uniques`` holds each distinct
     syndrome (sorted event tuple) once and ``inverse[i]`` is the index of
-    shot ``i``'s syndrome in ``uniques``.  When the batch carries a dense
-    matrix the grouping is vectorized (bit-pack rows, ``np.unique`` over
-    them); otherwise a dict over event tuples is used.
+    shot ``i``'s syndrome in ``uniques``.  When the batch carries
+    bit-packed rows (a sampled ``SyndromeBatch``; duck-typed via its
+    ``packed()`` method), the grouping runs on those rows
+    (:func:`~repro.utils.bits.unique_rows`), uniques come out in memcmp
+    order of their packed rows, and event tuples are built for the
+    distinct rows only -- no per-shot tuple is ever made.  Otherwise
+    (plain event lists, events-only batches) a dict over the event
+    tuples is used, uniques in first-occurrence order.
 
     Sampled workloads at the paper's rates are dominated by repeated
     sparse syndromes (most shots are empty or contain one mechanism), so
     decoding each distinct syndrome once is the single biggest batch
     speedup for every deterministic decoder.
     """
+    packed = getattr(batch_events, "packed", None)
+    rows = None if packed is None else packed()
+    if rows is not None and rows.size:
+        distinct, inverse = unique_rows(rows)
+        return events_from_packed(distinct), inverse
     events_list = batch_event_list(batch_events)
-    dense = getattr(batch_events, "dense", None)
-    if (
-        dense is not None
-        and dense.ndim == 2
-        and dense.shape[0] == len(events_list)
-        and dense.shape[0] > 0
-    ):
-        packed = np.packbits(dense, axis=1)
-        # One opaque memcmp-comparable scalar per row: much faster to
-        # unique than row-wise comparison via np.unique(..., axis=0).
-        keys = np.ascontiguousarray(packed).view(
-            [("", np.void, packed.shape[1])]
-        ).ravel()
-        _, first, inverse = np.unique(
-            keys, return_index=True, return_inverse=True
-        )
-        uniques = [tuple(map(int, events_list[int(i)])) for i in first]
-        return uniques, inverse
     index: Dict[Tuple[int, ...], int] = {}
     inverse = np.empty(len(events_list), dtype=np.int64)
     uniques: List[Tuple[int, ...]] = []

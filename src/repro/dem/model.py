@@ -89,8 +89,20 @@ class DetectorErrorModel:
     detector_coords: List[Tuple[int, int, int]]
 
     def probabilities(self, p: float) -> np.ndarray:
-        """Vector of mechanism firing probabilities at base rate ``p``."""
-        return np.array([m.probability(p) for m in self.mechanisms], dtype=np.float64)
+        """Vector of mechanism firing probabilities at base rate ``p``.
+
+        Memoised per ``p`` on the instance (samplers, the Eq. (1) pmf
+        and the high-HW census all ask for the same vector); the array
+        is read-only because every caller shares it.
+        """
+        cache = self.__dict__.setdefault("_probability_cache", {})
+        if p not in cache:
+            vector = np.array(
+                [m.probability(p) for m in self.mechanisms], dtype=np.float64
+            )
+            vector.flags.writeable = False
+            cache[p] = vector
+        return cache[p]
 
     def expected_fault_count(self, p: float) -> float:
         """Mean number of mechanisms firing per shot at rate ``p``."""

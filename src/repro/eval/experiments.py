@@ -215,7 +215,6 @@ class Workbench:
         rng = self.rng if rng is None else ensure_rng(rng)
         sampler = ExactKSampler(self.dem, self.p, rng=rng)
         kept = SyndromeBatch(
-            events=[],
             observables=np.zeros(0, dtype=np.int64),
             fault_counts=np.zeros(0, dtype=np.int64),
             weights=np.zeros(0, dtype=np.float64),
@@ -226,21 +225,14 @@ class Workbench:
             if pmf[k] <= 0.0:
                 continue
             batch = sampler.sample(k, shots_per_k)
-            mask = batch.hamming_weights() >= hw_min
-            if not mask.any():
+            keep_idx = np.nonzero(batch.hamming_weights() >= hw_min)[0]
+            if not keep_idx.size:
                 continue
-            keep_idx = np.nonzero(mask)[0]
-            kept.extend(
-                SyndromeBatch(
-                    events=[batch.events[i] for i in keep_idx],
-                    observables=batch.observables[keep_idx],
-                    fault_counts=np.full(keep_idx.size, k, dtype=np.int64),
-                    weights=np.full(
-                        keep_idx.size, pmf[k] / shots_per_k, dtype=np.float64
-                    ),
-                    dense=None if batch.dense is None else batch.dense[keep_idx],
-                )
+            chosen = batch.take(keep_idx)
+            chosen.weights = np.full(
+                keep_idx.size, pmf[k] / shots_per_k, dtype=np.float64
             )
+            kept.extend(chosen)
         return kept
 
 
@@ -348,7 +340,7 @@ def _hw_reduction_rows(
     batch: SyndromeBatch, predecoders: Dict[str, Predecoder]
 ) -> List[Tuple[int, ...]]:
     """Per shot, (HW before, HW after predecoder 1, after predecoder 2, ...)."""
-    before = [len(events) for events in batch.events]
+    before = batch.hamming_weights().tolist()
     after = [
         [len(report.remaining) for report in predecoder.predecode_batch(batch)]
         for predecoder in predecoders.values()

@@ -47,6 +47,10 @@ def _error_payload(error: BaseException) -> dict:
     return {"ok": False, "kind": kind, "error": str(error)}
 
 
+def _bad_request(request_id, error: str) -> dict:
+    return {"id": request_id, "ok": False, "kind": "bad-request", "error": error}
+
+
 async def start_server(
     service: DecodeService, host: str = "127.0.0.1", port: int = 0
 ) -> asyncio.AbstractServer:
@@ -87,13 +91,21 @@ async def start_server(
                 try:
                     message = json.loads(line)
                 except json.JSONDecodeError as error:
-                    await send(
-                        {"id": None, "ok": False, "kind": "bad-request",
-                         "error": f"malformed JSON line: {error}"}
-                    )
+                    await send(_bad_request(None, f"malformed JSON line: {error}"))
+                    continue
+                if not isinstance(message, dict):
+                    await send(_bad_request(
+                        None,
+                        f"request must be a JSON object, not {json.dumps(message)[:64]}",
+                    ))
                     continue
                 if message.get("op") == "configs":
                     await send({"ok": True, "configs": service.pool.keys()})
+                    continue
+                if "config" not in message:
+                    await send(
+                        _bad_request(message.get("id"), 'request has no "config"')
+                    )
                     continue
                 task = asyncio.ensure_future(serve_one(message))
                 pending.add(task)

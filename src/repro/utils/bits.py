@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -58,3 +58,37 @@ def popcount_rows(matrix: np.ndarray) -> np.ndarray:
 def nonzero_tuple(vector: np.ndarray) -> Tuple[int, ...]:
     """Sorted tuple of indices of set entries of a boolean vector."""
     return tuple(int(i) for i in np.nonzero(vector)[0])
+
+
+def events_from_packed(rows: np.ndarray) -> List[Tuple[int, ...]]:
+    """Per-row sorted set-bit tuples of a bit-packed (``np.packbits``) matrix.
+
+    Only the nonzero bytes are unpacked, so sparse rows cost little more
+    than their set bits.  Padding bits past the last real column are
+    zero by construction, so no column count is needed.
+    """
+    row_of, byte_of = np.nonzero(rows)
+    entry, bit = np.nonzero(np.unpackbits(rows[row_of, byte_of][:, None], axis=1))
+    ends = np.cumsum(np.bincount(row_of[entry], minlength=rows.shape[0])).tolist()
+    flat = (byte_of[entry] * 8 + bit).tolist()
+    return [tuple(flat[a:b]) for a, b in zip([0] + ends[:-1], ends)]
+
+
+def unique_rows(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a uint8 matrix in memcmp order, plus the inverse.
+
+    Returns ``(distinct, inverse)`` with ``rows == distinct[inverse]``,
+    i.e. ``np.unique`` over the rows as opaque byte strings.  The rows
+    are compared as big-endian 64-bit words (whose numeric order is the
+    byte order) with one ``lexsort``, several times faster than sorting
+    ``np.void`` scalars.
+    """
+    shots, width = rows.shape
+    words = np.pad(rows, ((0, 0), (0, -width % 8))).view(">u8")
+    order = np.lexsort(words.T[::-1])
+    ordered = words[order]
+    starts = np.ones(shots, dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    inverse = np.empty(shots, dtype=np.int64)
+    inverse[order] = np.cumsum(starts) - 1
+    return rows[order[starts]], inverse

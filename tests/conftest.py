@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 # The repo root is importable so tests can reach the in-repo tooling
 # (tools.reprolint for the lint suite and the hygiene checks).
@@ -24,6 +25,12 @@ from repro.eval.cache import load_or_build_dem
 from repro.graph import build_decoding_graph
 from repro.noise import CircuitNoiseModel, CodeCapacityNoiseModel
 from repro.sim import DemSampler
+
+# ``pytest --hypothesis-profile=ci``: the same examples on every run (no
+# random seed, no shared example database) and no per-example deadline,
+# so property tests neither flake nor time out on slow shared runners.
+# Local runs keep hypothesis' default profile.
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 
 @pytest.fixture(scope="session")

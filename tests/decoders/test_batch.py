@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from helpers import make_graph  # noqa: E402
@@ -26,9 +28,12 @@ from repro.decoders import (
     UnionFindDecoder,
     combine_parallel_batch,
 )
+from repro.decoders import base as base_module
 from repro.decoders.base import fan_out, unique_syndromes
 from repro.eval.experiments import Workbench
+from repro.sim import sampler as sampler_module
 from repro.sim.sampler import DemSampler, ExactKSampler, SyndromeBatch
+from repro.utils.bits import events_from_packed
 
 
 @pytest.fixture(scope="module")
@@ -219,6 +224,63 @@ class TestUniqueSyndromes:
             tuple(e) for e in shared_workload.events
         ]
         assert sorted(dense_uniques) == sorted(dict_uniques)
+
+    @given(
+        st.integers(min_value=1, max_value=27).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.sampled_from([(), (0,), (n - 1,), tuple(range(0, n, 2))])
+                    | st.sets(st.integers(0, n - 1), max_size=5).map(
+                        lambda ids: tuple(sorted(ids))
+                    ),
+                    max_size=50,
+                ),
+            )
+        )
+    )
+    def test_packed_path_equals_dict_path_in_memcmp_order(self, case):
+        """The packed path is the dict path re-ordered by packed-row bytes:
+        same uniques, same inverse, uniques in memcmp order."""
+        n_detectors, events = case
+        dense = np.zeros((len(events), n_detectors), dtype=bool)
+        for shot, ids in enumerate(events):
+            dense[shot, list(ids)] = True
+        batch = SyndromeBatch(
+            observables=np.zeros(len(events), dtype=np.int64), dense=dense
+        )
+        uniques, inverse = unique_syndromes(batch)
+        dict_uniques, dict_inverse = unique_syndromes(events)
+        row_bytes = [
+            np.packbits(np.isin(np.arange(n_detectors), u)).tobytes()
+            for u in dict_uniques
+        ]
+        order = sorted(range(len(dict_uniques)), key=row_bytes.__getitem__)
+        rank = np.empty(len(order), dtype=np.int64)
+        rank[order] = np.arange(len(order))
+        assert uniques == [dict_uniques[i] for i in order]
+        assert all(type(e) is int for u in uniques for e in u)
+        assert inverse.tolist() == rank[dict_inverse].tolist()
+
+    def test_batch_path_builds_tuples_for_uniques_only(
+        self, zoo_bench, monkeypatch
+    ):
+        """Decoding a sampled batch never materializes per-shot tuples:
+        only the distinct packed rows are converted to events."""
+        converted = []
+
+        def counting(rows):
+            converted.append(len(rows))
+            return events_from_packed(rows)
+
+        monkeypatch.setattr(base_module, "events_from_packed", counting)
+        monkeypatch.setattr(sampler_module, "events_from_packed", counting)
+        batch = DemSampler(zoo_bench.dem, 1e-3, rng=5).sample(2000)
+        uniques, _inverse = unique_syndromes(batch)
+        assert converted == [len(uniques)] and len(uniques) < batch.shots
+        converted.clear()
+        zoo_bench.decoders["Promatch+Astrea"].decode_batch(batch)
+        assert converted == [len(uniques)]
 
     def test_fan_out_preserves_order(self):
         inverse = np.array([2, 0, 1, 0], dtype=np.int64)

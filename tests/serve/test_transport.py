@@ -106,3 +106,47 @@ def test_malformed_line_reports_bad_request(counting_decoder):
         await teardown(service, server, client)
 
     run(main())
+
+
+async def _send_raw(client, line: bytes, reply_id=None) -> dict:
+    """Write one raw line and wait for the reply carrying ``reply_id``."""
+    waiter = asyncio.get_running_loop().create_future()
+    client._waiting[reply_id] = waiter
+    client._writer.write(line)
+    await client._writer.drain()
+    return await waiter
+
+
+@pytest.mark.parametrize("line", [b"[1]\n", b"3\n", b"null\n", b'"cfg"\n'])
+def test_non_object_line_reports_bad_request(counting_decoder, line):
+    # Valid JSON that is not an object used to reach ``message.get`` and
+    # kill the connection handler.
+    async def main():
+        service, server, client = await served(counting_decoder)
+        message = await _send_raw(client, line)
+        assert message["ok"] is False
+        assert message["kind"] == "bad-request"
+        assert "JSON object" in message["error"]
+        result = await client.decode("cfg", (3,))
+        assert result.success
+        await teardown(service, server, client)
+
+    run(main())
+
+
+def test_missing_config_reports_bad_request(counting_decoder):
+    # An object without "config" used to come back as a generic
+    # decode-error (a KeyError raised inside the request task).
+    async def main():
+        service, server, client = await served(counting_decoder)
+        message = await _send_raw(client, b'{"id": 41, "events": [1]}\n', 41)
+        assert message == {
+            "id": 41, "ok": False, "kind": "bad-request",
+            "error": 'request has no "config"',
+        }
+        result = await client.decode("cfg", (3,))
+        assert result.success
+        assert counting_decoder.seen == [(3,)]  # the bad request never decoded
+        await teardown(service, server, client)
+
+    run(main())

@@ -1,9 +1,20 @@
 """Tests for the DEM-level samplers."""
 
+import hashlib
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.sim.sampler import DemSampler, ExactKSampler, SyndromeBatch
+from repro.dem.model import Mechanism
+from repro.sim.sampler import (
+    DemSampler,
+    ExactKSampler,
+    SyndromeBatch,
+    _SignatureAccumulator,
+)
 
 
 class TestDemSampler:
@@ -183,3 +194,191 @@ class TestSyndromeBatch:
         assert (part.fault_counts == batch.fault_counts[10:20]).all()
         assert part.weights.tolist() == list(range(10, 20))
         assert (part.dense == batch.dense[10:20]).all()
+
+
+def _sample_digest(batch) -> str:
+    hasher = hashlib.sha256()
+    hasher.update(repr([tuple(int(e) for e in ev) for ev in batch.events]).encode())
+    hasher.update(np.asarray(batch.observables, dtype=np.int64).tobytes())
+    hasher.update(np.asarray(batch.fault_counts, dtype=np.int64).tobytes())
+    return hasher.hexdigest()
+
+
+class TestBitwisePin:
+    """Sampled workloads are pinned bit for bit.
+
+    The digests were recorded with the original dense-matrix sampler;
+    the packed accumulator must reproduce them exactly, which proves
+    the RNG draw sequence (binomial, then one ``choice`` per firing
+    mechanism; Gumbel blocks for exact-k) and the XOR accumulation are
+    unchanged -- and with them every store key and campaign artifact.
+    """
+
+    DEM_DIGESTS = {
+        11: "246e3fbd805cab9a992243b45f93c71714cdbf86f798c965a6259d50951f69ac",
+        2024: "97708fb9402e834966f6a01864f78e46fa1e82c1e7bcd47010dbb26168151033",
+    }
+    EXACT_K_DIGESTS = {
+        1: "9f30d43dd6d667d4f88e6b390e5ac33348fbea4ce14a595309ac7c397642e4ec",
+        5: "722d34e4793879d1ccc4793b8bbc4e08b5779574455a36400d7a0f9db6b976b9",
+        12: "624540ec6b0bad4feeccc678076d5390dbc79cbff19a9856339bde5b31008578",
+    }
+
+    def test_dem_sampler_digests(self, d3_stack):
+        _exp, dem, _graph = d3_stack
+        for seed, digest in self.DEM_DIGESTS.items():
+            batch = DemSampler(dem, 3e-3, rng=seed).sample(400)
+            assert _sample_digest(batch) == digest, f"seed {seed}"
+
+    def test_exact_k_sampler_digests(self, d3_stack):
+        _exp, dem, _graph = d3_stack
+        for k, digest in self.EXACT_K_DIGESTS.items():
+            batch = ExactKSampler(dem, 3e-3, rng=100 + k).sample(k, 200)
+            assert _sample_digest(batch) == digest, f"k={k}"
+
+    def test_flush_boundaries_do_not_change_the_batch(self, d3_stack, monkeypatch):
+        """Queued scatters are XOR-ed in whenever the queue fills; flushing
+        after every mechanism must give the same batch as one flush."""
+        _exp, dem, _graph = d3_stack
+        whole = DemSampler(dem, 3e-3, rng=11).sample(400)
+        monkeypatch.setattr(_SignatureAccumulator, "FLUSH_PAIRS", 1)
+        piecewise = DemSampler(dem, 3e-3, rng=11).sample(400)
+        assert (piecewise.packed() == whole.packed()).all()
+        assert _sample_digest(piecewise) == self.DEM_DIGESTS[11]
+
+
+class TestProbabilityMemo:
+    def test_second_sampler_build_reuses_probabilities(self, d3_stack, monkeypatch):
+        _exp, dem, _graph = d3_stack
+        p = 2.5e-3
+        first = DemSampler(dem, p, rng=1).probabilities
+
+        def forbidden(self, p):
+            raise AssertionError("Mechanism.probability recomputed")
+
+        monkeypatch.setattr(Mechanism, "probability", forbidden)
+        assert DemSampler(dem, p, rng=2).probabilities is first
+        ExactKSampler(dem, p, rng=3).sample(2, 5)
+        assert dem.expected_fault_count(p) == pytest.approx(float(first.sum()))
+
+    def test_returned_array_is_read_only(self, d3_stack):
+        _exp, dem, _graph = d3_stack
+        probabilities = dem.probabilities(3e-3)
+        with pytest.raises(ValueError):
+            probabilities[0] = 0.5
+        assert dem.probabilities(3e-3)[0] != 0.5
+
+
+# -- packed representation properties ------------------------------------------
+
+
+@st.composite
+def sparse_batches(draw):
+    """Event tuples over a width that is often not a multiple of 8, drawn
+    from a small pool so rows repeat, with empty rows mixed in."""
+    n_detectors = draw(st.integers(min_value=1, max_value=29))
+    pool = draw(
+        st.lists(
+            st.lists(
+                st.integers(0, n_detectors - 1), max_size=min(n_detectors, 6)
+            ).map(lambda ids: tuple(sorted(set(ids)))),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    events = draw(st.lists(st.sampled_from(pool + [()]), max_size=40))
+    return n_detectors, events
+
+
+def _dense_of(events, n_detectors):
+    dense = np.zeros((len(events), n_detectors), dtype=bool)
+    for shot, ids in enumerate(events):
+        dense[shot, list(ids)] = True
+    return dense
+
+
+def _packed_batch(events, n_detectors):
+    shots = len(events)
+    return SyndromeBatch(
+        rows=np.packbits(_dense_of(events, n_detectors), axis=1),
+        n_detectors=n_detectors,
+        observables=np.arange(shots, dtype=np.int64),
+        fault_counts=np.full(shots, 2, dtype=np.int64),
+        weights=np.linspace(0.0, 1.0, shots),
+    )
+
+
+class TestPackedRepresentation:
+    @given(sparse_batches())
+    def test_lazy_events_match_the_rows(self, case):
+        n_detectors, events = case
+        batch = _packed_batch(events, n_detectors)
+        assert batch.events == events
+        assert batch.events == [
+            tuple(np.flatnonzero(row).tolist()) for row in batch.to_dense(n_detectors)
+        ]
+        assert (batch.dense == _dense_of(events, n_detectors)).all()
+        assert batch.hamming_weights().tolist() == [len(e) for e in events]
+
+    @given(sparse_batches(), st.integers(0, 40), st.integers(0, 40))
+    def test_slice_and_take(self, case, start, stop):
+        n_detectors, events = case
+        batch = _packed_batch(events, n_detectors)
+        part = batch.slice(start, stop)
+        assert part.events == events[start:stop]
+        assert part.dense.shape == (len(events[start:stop]), n_detectors)
+        assert (part.packed() == batch.packed()[start:stop]).all()
+        assert part.weights.tolist() == batch.weights[start:stop].tolist()
+        order = np.arange(len(events))[::-1]
+        taken = batch.take(order)
+        assert taken.events == events[::-1]
+        assert taken.observables.tolist() == order.tolist()
+
+    @given(sparse_batches(), st.lists(st.integers(0, 28), max_size=5))
+    def test_extend_packed_and_mixed(self, case, extra_ids):
+        n_detectors, events = case
+        extra = [tuple(sorted({i % n_detectors for i in extra_ids})), ()]
+        for events_built in (False, True):
+            both = _packed_batch(events, n_detectors)
+            other = _packed_batch(extra, n_detectors)
+            if events_built:  # the tuple caches are carried along
+                assert both.events == events and other.events == extra
+            both.extend(other)
+            assert both.packed() is not None
+            assert both.events == events + extra
+            assert both.fault_counts.tolist() == [2] * (len(events) + 2)
+        plain = SyndromeBatch(
+            events=list(extra),
+            observables=np.zeros(2, dtype=np.int64),
+            fault_counts=np.ones(2, dtype=np.int64),
+        )
+        mixed = _packed_batch(events, n_detectors)
+        mixed.extend(plain)
+        assert mixed.packed() is None and mixed.dense is None
+        assert mixed.events == events + extra
+        assert mixed.hamming_weights().tolist() == [len(e) for e in events + extra]
+        assert mixed.weights.tolist()[len(events):] == [1.0, 1.0]
+        plain.extend(_packed_batch(events, n_detectors))
+        assert plain.events == extra + events
+        assert plain.shots == len(events) + 2
+
+    @given(sparse_batches())
+    def test_pickle_round_trip(self, case):
+        n_detectors, events = case
+        batch = _packed_batch(events, n_detectors)
+        copy = pickle.loads(pickle.dumps(batch))
+        assert copy.dense.shape == (len(events), n_detectors)
+        assert (copy.packed() == batch.packed()).all()
+        assert copy.events == events
+        assert copy.weights.tolist() == batch.weights.tolist()
+
+    def test_keyword_construction_from_events_and_dense(self):
+        dense = np.array([[0, 1, 0], [1, 0, 1]], dtype=bool)
+        batch = SyndromeBatch(
+            events=[(1,), (0, 2)], observables=np.zeros(2), dense=dense
+        )
+        assert batch.packed().tolist() == [[0b01000000], [0b10100000]]
+        assert (batch.dense == dense).all()
+        assert batch.events == [(1,), (0, 2)]
+        with pytest.raises(TypeError):
+            SyndromeBatch(observables=np.zeros(0))

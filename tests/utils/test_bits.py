@@ -8,10 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.utils.bits import (
+    events_from_packed,
     nonzero_tuple,
     parity,
     popcount_rows,
     probability_to_weight,
+    unique_rows,
     weight_to_probability,
     xor_combine_probabilities,
     xor_combine_two,
@@ -79,3 +81,39 @@ class TestBitHelpers:
     def test_nonzero_tuple(self):
         v = np.array([False, True, False, True])
         assert nonzero_tuple(v) == (1, 3)
+
+
+@st.composite
+def bit_matrices(draw):
+    """0/1 matrices with repeated rows; widths around byte boundaries."""
+    width = draw(st.integers(min_value=1, max_value=70))
+    pool = draw(
+        st.lists(
+            st.lists(st.booleans(), min_size=width, max_size=width),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=30))
+    return np.array([pool[i] for i in picks], dtype=bool)
+
+
+class TestPackedRows:
+    @given(bit_matrices())
+    def test_unique_rows_equals_np_unique_over_bytes(self, dense):
+        rows = np.packbits(dense, axis=1)
+        keys = rows.view([("", np.void, rows.shape[1])]).ravel()
+        expected, expected_inverse = np.unique(keys, return_inverse=True)
+        distinct, inverse = unique_rows(rows)
+        assert distinct.tobytes() == expected.tobytes()
+        assert inverse.tolist() == expected_inverse.tolist()
+        assert (distinct[inverse] == rows).all()
+
+    @given(bit_matrices())
+    def test_events_from_packed_equals_dense(self, dense):
+        expected = [tuple(np.flatnonzero(row).tolist()) for row in dense]
+        assert events_from_packed(np.packbits(dense, axis=1)) == expected
+
+    def test_empty_matrices(self):
+        assert events_from_packed(np.zeros((0, 3), dtype=np.uint8)) == []
+        assert events_from_packed(np.zeros((2, 0), dtype=np.uint8)) == [(), ()]
