@@ -4,10 +4,8 @@ Subcommands mirror the workflows a downstream user actually wants:
 
 * ``info``      -- stack summary for a configuration (graph sizes, storage,
   Astrea capability window).
-* ``ler``       -- logical error rate, direct Monte-Carlo or Eq. (1).
-* ``sweep``     -- a whole (distance, p) grid of LER points as one
-  resumable unit: single store, per-point keys, round-robin precision
-  refinement, one persistent worker pool, one JSON artifact.
+* ``ler``       -- logical error rate, direct Monte-Carlo or Eq. (1), as
+  one in-memory run (resumable grids are campaigns).
 * ``campaign``  -- run (``campaign run``) or inspect (``campaign
   status`` / ``campaign explain``) a declarative TOML campaign spec:
   a DAG of store-backed steps where fully-covered steps are skipped
@@ -38,11 +36,6 @@ Examples::
     python -m repro info --distance 11 --p 1e-4
     python -m repro ler --distance 5 --p 3e-3 --shots 20000
     python -m repro ler --distance 11 --p 1e-4 --method eq1 --shots-per-k 200
-    python -m repro ler --distance 11 --p 1e-4 --method eq1 \\
-        --store sweep.jsonl --resume         # kill-and-resume safe
-    python -m repro sweep --distances 11,13 --ps 1e-4,3e-4,5e-4 \\
-        --shots-per-k 200 --shards 4 --store table.jsonl --resume \\
-        --min-rel-precision 0.2 --out table.json
     python -m repro campaign run benchmarks/campaigns/table2.toml \\
         --store table2.jsonl --shards 4 --out table2.json
     python -m repro campaign status benchmarks/campaigns/table2.toml \\
@@ -52,17 +45,17 @@ Examples::
     python -m repro serve run --distance 5 --p 1e-3 --port 8791
     python -m repro serve load --distance 5 --p 1e-3 --requests 400 \\
         --check-batch --inject-fault    # deterministic, zero real sleeps
-    python -m repro store info sweep.jsonl
+    python -m repro store info table2.jsonl
     python -m repro store info table2.jsonl \\
         --campaign benchmarks/campaigns/table2.toml
-    python -m repro store prune sweep.jsonl --keep 0123abcd4567ef89
+    python -m repro store prune table2.jsonl --keep 0123abcd4567ef89
 
-The ``--store``/``--resume`` pair makes ``ler`` and ``sweep`` runs
-restartable: every completed work slice is appended to the store file,
-and a resumed run replays them and pays only for the residual shots
-(see docs/experiment_store.md).  Campaign runs always resume -- the
-store is their cache -- and flags follow the knob precedence rule
-(CLI flag > env var > spec value > default; see docs/campaigns.md).
+Campaigns are the one restartable path: every completed work slice is
+appended to the campaign's store file, a killed run resumes by replaying
+them and paying only for the residual shots, and a fully-covered re-run
+does no decode work (see docs/campaigns.md and
+docs/experiment_store.md).  Campaign flags follow the knob precedence
+rule (CLI flag > env var > spec value > default).
 """
 
 from __future__ import annotations
@@ -113,87 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cap on shots per decode_batch call (bounds decode-side "
              "memory; sampling memory scales with shots per shard, so "
              "use --shards to bound that; default all)",
-    )
-    ler.add_argument(
-        "--store", default=None, metavar="PATH",
-        help="experiment-store file (JSON lines); completed work slices "
-             "are appended so a killed run can be resumed",
-    )
-    ler.add_argument(
-        "--resume", action="store_true",
-        help="replay slices already in --store and run only the residual "
-             "shots (bitwise identical to an uninterrupted run)",
-    )
-    ler.add_argument(
-        "--min-rel-precision", type=float, default=None, metavar="R",
-        help="keep doubling shots on the widest k rows until every "
-             "decoder's statistical CI width is below R * LER "
-             "(Eq. (1) method only)",
-    )
-
-    sweep = sub.add_parser(
-        "sweep",
-        help="walk a (distance, p) grid of LER points as one resumable "
-             "sweep against a single store",
-    )
-    sweep.add_argument(
-        "--distances", default="3,5", metavar="D1,D2,...",
-        help="comma-separated code distances",
-    )
-    sweep.add_argument(
-        "--ps", default="1e-3,3e-3", metavar="P1,P2,...",
-        help="comma-separated physical error rates",
-    )
-    sweep.add_argument("--seed", type=int, default=2024, help="sweep seed")
-    sweep.add_argument(
-        "--method", choices=("direct", "eq1"), default="eq1",
-        help="estimator evaluated at every grid point",
-    )
-    sweep.add_argument(
-        "--decoders", default="MWPM,Promatch+Astrea,Astrea-G",
-        help="comma-separated decoder names from the zoo",
-    )
-    sweep.add_argument(
-        "--shots", type=int, default=20000,
-        help="direct-MC shots per grid point",
-    )
-    sweep.add_argument(
-        "--shots-per-k", type=int, default=150,
-        help="Eq. (1) base shots per k at every grid point",
-    )
-    sweep.add_argument("--k-max", type=int, default=14, help="Eq. (1) largest k")
-    sweep.add_argument(
-        "--shards", type=int, default=1,
-        help="worker processes; the whole grid shares one persistent "
-             "pool (identical results at any width)",
-    )
-    sweep.add_argument(
-        "--batch-size", type=int, default=None,
-        help="cap on shots per decode_batch call",
-    )
-    sweep.add_argument(
-        "--store", default=None, metavar="PATH",
-        help="single experiment-store file shared by every grid point "
-             "(per-point keys)",
-    )
-    sweep.add_argument(
-        "--resume", action="store_true",
-        help="replay slices already in --store and run only the "
-             "residual shots (a killed sweep resumes bitwise)",
-    )
-    sweep.add_argument(
-        "--min-rel-precision", type=float, default=None, metavar="R",
-        help="global precision target: refinement rounds are allocated "
-             "round-robin across grid points until every decoder's CI "
-             "width is below R * LER",
-    )
-    sweep.add_argument(
-        "--max-refine-rounds", type=int, default=6,
-        help="cap on refinement rounds per grid point",
-    )
-    sweep.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="write the consolidated JSON artifact here",
     )
 
     campaign = sub.add_parser(
@@ -372,8 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     store_prune.add_argument(
         "--keep", required=True, metavar="KEY1,KEY2,...",
         help="comma-separated config keys to retain (list them with "
-             "`store info`; a sweep prints each point's key via its "
-             "workbench store_key)",
+             "`store info`; `campaign explain` prints each step's key)",
     )
     store_prune.add_argument(
         "--dry-run", action="store_true",
@@ -405,7 +316,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     handler = {
         "info": _run_info,
         "ler": _run_ler,
-        "sweep": _run_sweep,
         "campaign": _run_campaign,
         "latency": _run_latency,
         "steps": _run_steps,
@@ -468,26 +378,18 @@ def _run_info(args) -> None:
 
 
 def _run_ler(args) -> None:
-    from repro.eval.store import open_store
-
     bench = _build(args)
     names = [n.strip() for n in args.decoders.split(",") if n.strip()]
     unknown = [n for n in names if n not in bench.decoders]
     if unknown:
         sys.exit(f"unknown decoders: {unknown}; available: {list(bench.decoders)}")
     decoders = {n: bench.decoders[n] for n in names}
-    store = open_store(args.store)
-    store_kwargs = dict(
-        store=store,
-        store_key=bench.store_key(args.method) if store is not None else None,
-        resume=args.resume,
-    )
     if args.method == "direct":
         from repro.eval.ler import estimate_ler_direct
 
         results = estimate_ler_direct(
             decoders, bench.dem, args.p, shots=args.shots, rng=args.seed,
-            shards=args.shards, batch_size=args.batch_size, **store_kwargs,
+            shards=args.shards, batch_size=args.batch_size,
         )
         rows = [[n, str(r.estimate)] for n, r in results.items()]
         print(format_table(["decoder", "LER [95% CI]"], rows,
@@ -499,7 +401,6 @@ def _run_ler(args) -> None:
             decoders, bench.dem, args.p,
             k_max=args.k_max, shots_per_k=args.shots_per_k, rng=args.seed,
             shards=args.shards, batch_size=args.batch_size,
-            min_rel_precision=args.min_rel_precision, **store_kwargs,
         )
         rows = [
             [n, format_scientific(r.ler), f"<= {format_scientific(r.ler_high)}"]
@@ -509,64 +410,6 @@ def _run_ler(args) -> None:
             ["decoder", "LER (Eq. 1)", "95% upper"], rows,
             title=f"Eq. (1), {args.shots_per_k} shots x k<={args.k_max}",
         ))
-
-
-def _run_sweep(args) -> None:
-    from repro.eval.store import open_store
-    from repro.eval.sweep import SweepGrid, run_sweep
-
-    distances = tuple(
-        int(tok) for tok in args.distances.split(",") if tok.strip()
-    )
-    error_rates = tuple(
-        float(tok) for tok in args.ps.split(",") if tok.strip()
-    )
-    names = tuple(n.strip() for n in args.decoders.split(",") if n.strip())
-    grid = SweepGrid(
-        distances=distances,
-        error_rates=error_rates,
-        kind=args.method,
-        decoders=names,
-        shots_per_k=args.shots_per_k,
-        k_max=args.k_max,
-        shots=args.shots,
-    )
-    try:
-        result = run_sweep(
-            grid,
-            seed=args.seed,
-            store=open_store(args.store),
-            resume=args.resume,
-            min_rel_precision=args.min_rel_precision,
-            max_refine_rounds=args.max_refine_rounds,
-            shards=args.shards,
-            batch_size=args.batch_size,
-            progress=lambda line: print(f"  [sweep] {line}"),
-        )
-    except ValueError as error:
-        sys.exit(str(error))
-    for distance in distances:
-        rows = []
-        for name in names:
-            rows.append([name] + [
-                format_scientific(result.point(distance, p).results[name].ler)
-                for p in error_rates
-            ])
-        print(format_table(
-            ["decoder"] + [f"p={p:g}" for p in error_rates],
-            rows,
-            title=f"sweep ({args.method}) | d={distance}",
-        ))
-    if result.points and result.points[0].usable_trials is not None:
-        trials = ", ".join(
-            f"d={entry.distance}/p={entry.p:g}: {entry.usable_trials}"
-            for entry in result.points
-        )
-        print(f"usable trials in store: {trials}")
-    print(f"worker-pool forks this sweep: {result.pool_forks}")
-    if args.out:
-        path = result.save(args.out)
-        print(f"consolidated artifact written to {path}")
 
 
 def _campaign_cli(args) -> dict:
@@ -624,9 +467,12 @@ def _run_campaign(args) -> None:
 
     campaign = _load_campaign_or_exit(args.spec, _campaign_cli(args))
     if args.campaign_command == "run":
-        result = run_campaign(
-            campaign, progress=lambda line: print(f"  [campaign] {line}")
-        )
+        try:
+            result = run_campaign(
+                campaign, progress=lambda line: print(f"  [campaign] {line}")
+            )
+        except ValueError as error:
+            sys.exit(f"campaign {campaign.name}: {error}")
         rows = [
             [
                 outcome.step.step_id,
@@ -1004,26 +850,28 @@ def _run_store(args) -> None:
     if not Path(args.path).exists():
         sys.exit(f"no store file at {args.path}")
     store = ExperimentStore(args.path)
-    if args.store_command == "info" and args.campaign:
-        from repro.eval.campaign import campaign_status
-
-        campaign = _load_campaign_or_exit(
-            args.campaign, {"store": args.path}
-        )
-        _print_coverage(
-            campaign_status(campaign, store=store),
-            f"campaign {campaign.name} vs store {args.path}",
-        )
-        return
     if args.store_command == "info":
-        rows = [
-            [config, kind, str(records), str(trials)]
-            for config, kind, records, trials in store.config_summary()
-        ]
-        print(format_table(
-            ["config", "kind", "records", "trials"], rows,
-            title=f"store {args.path}",
-        ))
+        if args.campaign:
+            from repro.eval.campaign import campaign_status
+
+            campaign = _load_campaign_or_exit(
+                args.campaign, {"store": args.path}
+            )
+            _print_coverage(
+                campaign_status(campaign, store=store),
+                f"campaign {campaign.name} vs store {args.path}",
+            )
+        else:
+            rows = [
+                [config, kind, str(records), str(trials)]
+                for config, kind, records, trials in store.config_summary()
+            ]
+            print(format_table(
+                ["config", "kind", "records", "trials"], rows,
+                title=f"store {args.path}",
+            ))
+        skipped = store.skipped_lines
+        print(f"{skipped} unreadable line{'' if skipped == 1 else 's'} skipped")
         return
     keep = {token.strip() for token in args.keep.split(",") if token.strip()}
     if not keep:

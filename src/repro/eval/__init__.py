@@ -1,4 +1,9 @@
-"""Evaluation harness: LER estimation, sweeps, censuses, caching, reporting."""
+"""Evaluation harness: LER estimation, censuses, caching, reporting.
+
+Grids of operating points (the paper's tables and figures) run as
+campaigns: :mod:`repro.eval.campaign` compiles a TOML spec into
+store-backed steps and is the one resumable orchestration path.
+"""
 
 from repro.eval.ler import (
     DirectMonteCarloResult,
@@ -10,7 +15,6 @@ from repro.eval.ler import (
 from repro.eval.poisson_binomial import poisson_binomial_pmf
 from repro.eval.experiments import Workbench
 from repro.eval.pool import WorkerPool
-from repro.eval.sweep import SweepGrid, SweepResult, run_sweep
 from repro.eval.threshold import crossing_point, lambda_factor, projected_ler
 
 __all__ = [
@@ -22,9 +26,6 @@ __all__ = [
     "poisson_binomial_pmf",
     "Workbench",
     "WorkerPool",
-    "SweepGrid",
-    "SweepResult",
-    "run_sweep",
     "crossing_point",
     "lambda_factor",
     "projected_ler",

@@ -21,10 +21,9 @@ decode work while producing a **bitwise-identical** consolidated
 artifact.
 
 Coverage has one source of truth: the cache decision is made by the
-same slice-replay logic a live run executes
-(:class:`~repro.eval.sweep.Eq1PointRunner` /
-:class:`~repro.eval.sweep.DirectPointRunner` in replay-only mode,
-raising :class:`~repro.eval.ler.ResidualWorkNeeded` when shots are
+same slice-replay logic a live run executes (:class:`Eq1PointRunner`
+/ :class:`DirectPointRunner` in replay-only mode, raising
+:class:`~repro.eval.ler.ResidualWorkNeeded` when shots are
 missing), so ``campaign status`` / ``campaign explain`` /
 ``store info --campaign`` report exactly what ``campaign run`` would
 skip.
@@ -45,7 +44,13 @@ from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.eval.knobs import CORE_KNOBS, MISSING, KnobRegistry
-from repro.eval.ler import ResidualWorkNeeded
+from repro.eval.ler import (
+    DirectMonteCarloResult,
+    Eq1Session,
+    ImportanceLerResult,
+    ResidualWorkNeeded,
+    estimate_ler_direct,
+)
 from repro.eval.pool import WorkerPool
 from repro.eval.store import (
     ArtifactRecord,
@@ -53,11 +58,6 @@ from repro.eval.store import (
     config_key,
     open_store,
     atomic_write_json,
-)
-from repro.eval.sweep import (
-    DirectPointRunner,
-    Eq1PointRunner,
-    _estimate_payload,
 )
 from repro.utils.rng import stable_seed
 
@@ -240,7 +240,6 @@ class CampaignStep:
             batch_size=batch_size,
             store=ctx.store,
             store_key=self.config(),
-            resume=ctx.store is not None,
             pool=pool,
             replay_only=replay,
         )
@@ -435,6 +434,226 @@ def _build_predecoder(name: str, graph):
     raise ValueError(
         f"unknown predecoder {name!r}; known: {list(PREDECODER_NAMES)}"
     )
+
+
+# -- step runners ---------------------------------------------------------------
+
+
+def _estimate_payload(result) -> dict:
+    """JSON row for one decoder's estimate (either estimator family)."""
+    if isinstance(result, DirectMonteCarloResult):
+        est = result.estimate
+        return {
+            "ler": est.rate,
+            "low": est.low,
+            "high": est.high,
+            "failures": est.successes,
+            "trials": est.trials,
+        }
+    assert isinstance(result, ImportanceLerResult)
+    return {
+        "ler": result.ler,
+        "ler_low": result.ler_low,
+        "ler_high": result.ler_high,
+        "truncation_bound": result.truncation_bound,
+        "trials": sum(est.trials for _k, _po, est in result.per_k),
+        "per_k": [
+            {
+                "k": k,
+                "p_o": po,
+                "failures": est.successes,
+                "trials": est.trials,
+                "rate": est.rate,
+                "low": est.low,
+                "high": est.high,
+            }
+            for k, po, est in result.per_k
+        ],
+    }
+
+
+def _direct_target_met(
+    results: Mapping[str, DirectMonteCarloResult], min_rel_precision: float
+) -> bool:
+    """Every nonzero-LER decoder's CI width within the relative target.
+
+    Zero-LER decoders are excluded, mirroring ``_refinement_plan``: no
+    relative target exists for a zero point estimate.
+    """
+    for result in results.values():
+        est = result.estimate
+        if est.rate > 0.0 and (est.high - est.low) > (
+            min_rel_precision * est.rate
+        ):
+            return False
+    return True
+
+
+class Eq1PointRunner:
+    """One Eq. (1) operating point as a drivable step.
+
+    :meth:`base_round` takes the point to its base budget,
+    :meth:`refine_once` executes at most one refinement round (False =
+    nothing left to do), :meth:`results` assembles the estimates.  With
+    a store every round replays stored slices first and persists what
+    it adds.
+
+    With ``replay_only=True`` the runner never decodes: any plan with
+    residual shots raises :class:`~repro.eval.ler.ResidualWorkNeeded`
+    instead.  ``components`` may then be placeholders (only names are
+    read), so "is this step fully cached?" is answered by the *same*
+    store-replay logic a live run executes -- one source of truth for
+    the cache rule.
+    """
+
+    def __init__(
+        self,
+        *,
+        components: Mapping[str, object],
+        parallel: Mapping[str, Tuple[str, str]],
+        dem,
+        p: float,
+        k_max: int,
+        k_min: int,
+        seed: int,
+        shots_per_k: int,
+        shots_for_k: Callable[[int], int],
+        shards: int,
+        batch_size: Optional[int],
+        store: Optional[ExperimentStore],
+        store_key: str,
+        pool: Optional[WorkerPool],
+        replay_only: bool,
+    ) -> None:
+        self.replay_only = replay_only
+        self.shots_per_k = shots_per_k
+        self.shots_for_k = shots_for_k
+        self.session = Eq1Session(
+            components,
+            parallel,
+            dem,
+            p,
+            k_max,
+            rng=seed,
+            k_min=k_min,
+            shards=shards,
+            batch_size=batch_size,
+            store=store,
+            store_key=store_key,
+            resume=store is not None,
+            pool=pool,
+        )
+
+    def base_budget(self) -> int:
+        """Total base trials over the point's contributing k values."""
+        return sum(self.shots_for_k(k) for k in self.session.k_values)
+
+    def base_round(self) -> None:
+        plan = self.session.base_plan(self.shots_per_k, self.shots_for_k)
+        if self.replay_only and any(n > 0 for n in plan.values()):
+            residual = sum(n for n in plan.values() if n > 0)
+            raise ResidualWorkNeeded(
+                f"{residual} residual Eq. (1) shots not covered by the "
+                f"store (config {self.session.store_key})"
+            )
+        self.session.evaluate_round(plan)
+
+    def refine_once(
+        self, min_rel_precision: float, max_refine_rounds: int
+    ) -> bool:
+        plan = self.session.refinement_plan(
+            min_rel_precision, max_refine_rounds
+        )
+        if not plan:
+            return False
+        if self.replay_only:
+            raise ResidualWorkNeeded(
+                "refinement toward the precision target needs shots not "
+                f"covered by the store (config {self.session.store_key})"
+            )
+        self.session.evaluate_round(plan)
+        return True
+
+    def results(self) -> Dict[str, ImportanceLerResult]:
+        return self.session.assemble()
+
+
+class DirectPointRunner:
+    """One direct-MC operating point as a drivable step.
+
+    Same protocol as :class:`Eq1PointRunner`.  Refinement doubles the
+    accumulated trials (never a per-process round counter), capped at
+    ``2 ** max_refine_rounds`` times the base budget, and growth rounds
+    resume against the store -- they replay the records the base round
+    just wrote.
+    """
+
+    def __init__(
+        self,
+        *,
+        decoders: Mapping[str, object],
+        dem,
+        p: float,
+        shots: int,
+        seed: int,
+        shards: int,
+        batch_size: Optional[int],
+        store: Optional[ExperimentStore],
+        store_key: str,
+        pool: Optional[WorkerPool],
+        replay_only: bool,
+    ) -> None:
+        self.decoders = decoders
+        self.dem = dem
+        self.p = p
+        self.shots = shots
+        self.seed = seed
+        self.shards = shards
+        self.batch_size = batch_size
+        self.store = store
+        self.store_key = store_key
+        self.pool = pool
+        self.replay_only = replay_only
+        self._results: Optional[Dict[str, DirectMonteCarloResult]] = None
+
+    def base_budget(self) -> int:
+        return self.shots
+
+    def _estimate(self, shots: int) -> Dict[str, DirectMonteCarloResult]:
+        return estimate_ler_direct(
+            self.decoders,
+            self.dem,
+            self.p,
+            shots=shots,
+            rng=self.seed,
+            shards=self.shards,
+            batch_size=self.batch_size,
+            store=self.store,
+            store_key=self.store_key,
+            resume=self.store is not None,
+            pool=self.pool,
+            replay_only=self.replay_only,
+        )
+
+    def base_round(self) -> None:
+        self._results = self._estimate(self.shots)
+
+    def refine_once(
+        self, min_rel_precision: float, max_refine_rounds: int
+    ) -> bool:
+        assert self._results is not None, "base_round must run first"
+        if _direct_target_met(self._results, min_rel_precision):
+            return False
+        current = next(iter(self._results.values())).estimate.trials
+        budget = 2 * max(self.shots, current)
+        if budget > self.shots * 2**max_refine_rounds:
+            return False
+        self._results = self._estimate(budget)
+        return True
+
+    def results(self) -> Dict[str, DirectMonteCarloResult]:
+        assert self._results is not None, "base_round must run first"
+        return self._results
 
 
 @dataclass

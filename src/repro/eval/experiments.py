@@ -119,7 +119,7 @@ class Workbench:
         Hashes the full configuration description -- code family,
         distance, rounds, noise-model token, physical error rate and
         estimator ``kind`` -- so stored counts are only ever reused for
-        an identically-configured sweep.
+        an identically-configured run.
         """
         from repro.eval.store import config_key
 

@@ -200,11 +200,6 @@ CORE_KNOBS = KnobRegistry(
             "experiment-store file; completed work slices are persisted",
         ),
         Knob(
-            "resume", "REPRO_BENCH_RESUME", parse_bool, True,
-            "replay slices already in the store (legacy ler/sweep path; "
-            "campaigns always resume -- the store is their cache)",
-        ),
-        Knob(
             "min_rel_precision", "REPRO_BENCH_MIN_REL_PRECISION",
             parse_float, None,
             "optional relative-precision target for Eq. (1) refinement",

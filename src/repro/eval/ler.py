@@ -40,41 +40,35 @@ Consequences:
 * re-running the same command re-derives the same slice seeds, which is
   what makes the experiment store's resume path exact (see below).
 
-Experiment store (resume / refine)
-----------------------------------
-Passing ``store=`` (an :class:`~repro.eval.store.ExperimentStore`) makes
-every completed slice durable: its (failures, trials) counts are appended
-to the store keyed by ``(store_key, kind, k, seed)``.  With
-``resume=True`` the estimators replay stored slice runs first and execute
-only the residual shots, so
+Experiment store, refinement and worker pools
+---------------------------------------------
+The one-shot estimators below sample their budget and return.  The
+resumable machinery lives one level down, where the campaign layer
+(:mod:`repro.eval.campaign`) drives it: :class:`Eq1Session` and
+:func:`estimate_ler_direct` accept ``store=`` (an
+:class:`~repro.eval.store.ExperimentStore`), which makes every completed
+slice durable -- its (failures, trials) counts are appended keyed by
+``(store_key, kind, k, seed)``.  With ``resume=True`` stored slice runs
+are replayed first and only the residual shots execute, so
 
-* a killed sweep re-run with the same arguments reproduces the
+* a killed run re-run with the same arguments reproduces the
   uninterrupted result **bitwise** while paying only for the slices that
   had not completed, and
 * raising the shot budget later samples only the delta, in sub-runs with
   deterministically derived seeds (:func:`repro.eval.store.derived_seed`).
 
-``min_rel_precision`` turns a fixed shot budget into a target: after the
-requested shots, slices keep growing (doubling, concentrated on the k
+:meth:`Eq1Session.refinement_plan` turns a fixed shot budget into a
+precision target: slices keep growing (doubling, concentrated on the k
 values contributing the most confidence-interval width) until every
 decoder's statistical CI width is below ``min_rel_precision * LER`` or
 every contributing slice has grown ``2 ** max_refine_rounds`` times its
 base budget.  Both the refinement trajectory and its stopping rule are
 deterministic functions of the accumulated counts -- never of how many
 rounds the current process happened to execute -- so refinement is
-itself resumable: a killed run continues, and stops, exactly where the
-uninterrupted run would have.
-
-Persistent worker pools
------------------------
-Every estimator accepts ``pool=`` (a
-:class:`~repro.eval.pool.WorkerPool`): the sharded rounds then reuse the
-pool's live workers instead of forking a throwaway pool per round.  The
-Eq. (1) engine is additionally exposed incrementally as
-:class:`Eq1Session`, so the sweep orchestrator
-(:mod:`repro.eval.sweep`) can interleave refinement rounds of many
-operating points over one pool.  Results are identical with or without
-a pool at any width (the shard-seeding contract above).
+itself resumable.  ``pool=`` (a :class:`~repro.eval.pool.WorkerPool`)
+lets sharded rounds reuse live workers instead of forking a throwaway
+pool per round; results are identical with or without a pool at any
+width (the shard-seeding contract above).
 """
 
 from __future__ import annotations
@@ -499,10 +493,10 @@ class Eq1Session:
     next sub-run index of every k slice, and the store wiring -- and
     exposes the evaluation loop as separate steps (:meth:`base_plan`,
     :meth:`refinement_plan`, :meth:`evaluate_round`, :meth:`assemble`).
-    The single-point estimators drive one session start to finish; the
-    sweep orchestrator (:mod:`repro.eval.sweep`) keeps one session per
-    grid point and round-robins refinement rounds across all of them
-    over one persistent :class:`~repro.eval.pool.WorkerPool`.
+    The one-shot estimators run a single storeless base round; the
+    campaign layer (:mod:`repro.eval.campaign`) drives a session with a
+    store, precision refinement and a persistent
+    :class:`~repro.eval.pool.WorkerPool`.
 
     Per-k base seeds are drawn up front from the caller's generator, so
     the sampled workloads -- and therefore every estimate -- are
@@ -609,6 +603,8 @@ class Eq1Session:
         uninterrupted run would have -- a per-process round counter
         would reset on resume and overshoot.
         """
+        if min_rel_precision <= 0:
+            raise ValueError("min_rel_precision must be positive")
         plan = _refinement_plan(
             self.assemble(),
             {k: self.trials_of(k) for k in self.k_values},
@@ -698,57 +694,6 @@ class Eq1Session:
         return results
 
 
-def _estimate_eq1(
-    components: Mapping[str, Decoder],
-    parallel_specs: Mapping[str, Tuple[str, str]],
-    dem: DetectorErrorModel,
-    p: float,
-    k_max: int,
-    shots_per_k: int,
-    rng: RngLike,
-    k_min: int,
-    shots_for_k: Optional[Callable[[int], int]],
-    shards: int,
-    batch_size: Optional[int],
-    store: Optional[ExperimentStore],
-    store_key: Optional[str],
-    resume: bool,
-    min_rel_precision: Optional[float],
-    max_refine_rounds: int,
-    pool: Optional[WorkerPool],
-) -> Dict[str, ImportanceLerResult]:
-    """Drive one :class:`Eq1Session` start to finish (both estimators)."""
-    if min_rel_precision is not None and min_rel_precision <= 0:
-        raise ValueError("min_rel_precision must be positive")
-    session = Eq1Session(
-        components=components,
-        parallel_specs=parallel_specs,
-        dem=dem,
-        p=p,
-        k_max=k_max,
-        rng=rng,
-        k_min=k_min,
-        shards=shards,
-        batch_size=batch_size,
-        store=store,
-        store_key=store_key,
-        resume=resume,
-        pool=pool,
-    )
-    session.evaluate_round(session.base_plan(shots_per_k, shots_for_k))
-    if min_rel_precision is not None:
-        # Terminates: every executed round doubles at least one k row,
-        # and each row is capped at 2**max_refine_rounds its base
-        # budget, so rows drop out of the plan after finitely many
-        # doublings.
-        while True:
-            plan = session.refinement_plan(min_rel_precision, max_refine_rounds)
-            if not plan:
-                break
-            session.evaluate_round(plan)
-    return session.assemble()
-
-
 def estimate_ler_importance(
     decoders: Mapping[str, Decoder],
     dem: DetectorErrorModel,
@@ -759,12 +704,6 @@ def estimate_ler_importance(
     k_min: int = 1,
     shards: int = 1,
     batch_size: Optional[int] = None,
-    store: Optional[ExperimentStore] = None,
-    store_key: Optional[str] = None,
-    resume: bool = False,
-    min_rel_precision: Optional[float] = None,
-    max_refine_rounds: int = 6,
-    pool: Optional[WorkerPool] = None,
 ) -> Dict[str, ImportanceLerResult]:
     """Eq. (1) LER of several decoders on shared per-k workloads.
 
@@ -781,42 +720,13 @@ def estimate_ler_importance(
         shards: Process-pool width for the k slices (1 = inline; any
             value yields identical estimates).
         batch_size: Cap on shots per ``decode_batch`` call (memory knob).
-        store: Optional experiment store; completed k slices are
-            appended so sweeps are kill-and-resume safe.
-        store_key: Experiment key for the store (defaults to a hash of
-            the DEM content and ``p``).
-        resume: Replay stored slices and run only the residual shots.
-        min_rel_precision: Optional target relative CI width; shots keep
-            doubling on the widest k rows until met (see
-            :func:`_refinement_plan`).
-        max_refine_rounds: Cap on refinement: each k row may grow to at
-            most ``2 ** max_refine_rounds`` times its base budget (a
-            counts-based rule, so it resumes exactly; see
-            :meth:`Eq1Session.refinement_plan`).
-        pool: Optional persistent :class:`WorkerPool`; sharded rounds
-            reuse its live workers instead of forking per round.
 
     Returns:
         Name -> :class:`ImportanceLerResult`.
     """
-    return _estimate_eq1(
-        components=decoders,
-        parallel_specs={},
-        dem=dem,
-        p=p,
-        k_max=k_max,
-        shots_per_k=shots_per_k,
-        rng=rng,
-        k_min=k_min,
-        shots_for_k=None,
-        shards=shards,
-        batch_size=batch_size,
-        store=store,
-        store_key=store_key,
-        resume=resume,
-        min_rel_precision=min_rel_precision,
-        max_refine_rounds=max_refine_rounds,
-        pool=pool,
+    return estimate_ler_suite(
+        decoders, {}, dem, p, k_max=k_max, shots_per_k=shots_per_k,
+        rng=rng, k_min=k_min, shards=shards, batch_size=batch_size,
     )
 
 
@@ -832,19 +742,15 @@ def estimate_ler_suite(
     shots_for_k: Optional[Callable[[int], int]] = None,
     shards: int = 1,
     batch_size: Optional[int] = None,
-    store: Optional[ExperimentStore] = None,
-    store_key: Optional[str] = None,
-    resume: bool = False,
-    min_rel_precision: Optional[float] = None,
-    max_refine_rounds: int = 6,
-    pool: Optional[WorkerPool] = None,
 ) -> Dict[str, ImportanceLerResult]:
     """Eq. (1) LER for component decoders *and* parallel combinations.
 
     Each component decodes every syndrome exactly once; the ``a || b``
     configurations are derived from the stored component results with the
     hardware's comparator rule (:func:`combine_parallel_batch`), which
-    halves the decode cost of evaluating the paper's Table 2.
+    halves the decode cost of evaluating the paper's Table 2.  Runs one
+    :class:`Eq1Session` base round; store-backed, resumable and
+    precision-targeted runs are campaign steps (docs/campaigns.md).
 
     Args:
         components: Name -> decoder for every directly-evaluated config.
@@ -855,17 +761,7 @@ def estimate_ler_suite(
             mid-range fault counts (sparse syndromes everyone decodes;
             astronomically-rare dense ones nobody weights), so headline
             tables boost shots exactly there.
-        shards: Process-pool width for the k slices (1 = inline; any
-            value yields identical estimates).
-        batch_size: Cap on shots per ``decode_batch`` call (memory knob).
-        store / store_key / resume: Experiment-store wiring; see
-            :func:`estimate_ler_importance`.  Stored slices are reusable
-            only when they cover every name in ``components`` and
-            ``parallel_specs`` (paired workloads).
-        min_rel_precision / max_refine_rounds: Precision-targeted
-            refinement; see :func:`estimate_ler_importance`.
-        pool: Optional persistent :class:`WorkerPool`; see
-            :func:`estimate_ler_importance`.
+        Other arguments: see :func:`estimate_ler_importance`.
     """
     unknown = {
         name: spec
@@ -880,22 +776,9 @@ def estimate_ler_suite(
             "parallel configuration names collide with component names "
             f"(their per-k rows would be double-counted): {sorted(collisions)}"
         )
-    return _estimate_eq1(
-        components=components,
-        parallel_specs=parallel_specs,
-        dem=dem,
-        p=p,
-        k_max=k_max,
-        shots_per_k=shots_per_k,
-        rng=rng,
-        k_min=k_min,
-        shots_for_k=shots_for_k,
-        shards=shards,
-        batch_size=batch_size,
-        store=store,
-        store_key=store_key,
-        resume=resume,
-        min_rel_precision=min_rel_precision,
-        max_refine_rounds=max_refine_rounds,
-        pool=pool,
+    session = Eq1Session(
+        components, parallel_specs, dem, p, k_max,
+        rng=rng, k_min=k_min, shards=shards, batch_size=batch_size,
     )
+    session.evaluate_round(session.base_plan(shots_per_k, shots_for_k))
+    return session.assemble()

@@ -1,10 +1,10 @@
 """Shared process-pool plumbing for sharded evaluation.
 
-Both the Eq. (1) estimators (:mod:`repro.eval.ler`), the high-HW
-censuses (:mod:`repro.eval.experiments`) and the sweep orchestrator
-(:mod:`repro.eval.sweep`) fan tiny index-only tasks over a pool of
-worker processes while the heavy per-run state (decoders, DEM, sampled
-batches) is shared out-of-band:
+The Eq. (1) and direct-MC estimators (:mod:`repro.eval.ler`) and the
+high-HW censuses (:mod:`repro.eval.experiments`), as driven by the
+campaign executor (:mod:`repro.eval.campaign`), fan tiny index-only
+tasks over a pool of worker processes while the heavy per-run state
+(decoders, DEM, sampled batches) is shared out-of-band:
 
 * on fork platforms the children inherit :data:`_POOL_SHARED`
   copy-on-write -- nothing is pickled per task and non-picklable decoder
@@ -20,9 +20,9 @@ are identical however the tasks are scheduled.
 Persistent pools
 ----------------
 :class:`WorkerPool` keeps the worker processes alive across many
-``map`` calls, so a sweep pays the fork-and-import cost **once** instead
-of once per refinement round, k-slice batch, and grid point.  The shared
-state installed at fork time can be swapped between calls:
+``map`` calls, so a campaign pays the fork-and-import cost **once**
+instead of once per refinement round, k-slice batch, and grid point.
+The shared state installed at fork time can be swapped between calls:
 
 * a payload identical (by object identity) to the installed one is a
   no-op -- every refinement round of one operating point reuses the
@@ -30,7 +30,7 @@ state installed at fork time can be swapped between calls:
 * a new payload is broadcast to every worker through a
   barrier-synchronized task (each worker installs the pickled state
   exactly once) -- this is how one pool serves every (distance, p)
-  point of a sweep;
+  step of a campaign;
 * a payload that cannot be pickled falls back to recycling the pool, so
   fork-only state keeps working at one fork per payload change.
 

@@ -49,7 +49,8 @@ Concurrency
 Appends are a single ``write`` on an ``O_APPEND`` descriptor, serialized
 through an ``fcntl`` lock on a sidecar ``.lock`` file where available,
 so concurrent shards (or separate sweep processes) can share one store
-file; readers skip torn or foreign trailing lines.
+file; readers skip torn or foreign lines and count them
+(:attr:`ExperimentStore.skipped_lines`, shown by ``repro store info``).
 :meth:`ExperimentStore.compact` rewrites the file with exact duplicates
 dropped, holding the same lock for the whole read-rewrite-rename cycle
 so no concurrent append is lost (appenders open the store by name only
@@ -253,8 +254,8 @@ def atomic_write_json(path, payload, *, sort_keys: bool = False) -> Path:
     """Write a JSON artifact via the store's temp-file + rename dance.
 
     A kill mid-write leaves the previous file (or no file) in place,
-    never a truncated JSON document.  Used by ``SweepResult.save``, the
-    campaign artifact writer, and the benchmark result files.
+    never a truncated JSON document.  Used by the campaign artifact
+    writer and the benchmark result files.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -287,7 +288,9 @@ class ExperimentStore:
     The in-memory index maps slice identity to its runs; it is refreshed
     from disk lazily (stat-based) so several processes can interleave
     appends on one file.  All mutation goes through :meth:`append`,
-    which writes one complete line atomically.
+    which writes one complete line atomically.  ``skipped_lines`` counts
+    the non-blank lines of the last read that parsed as neither record
+    shape (torn tails of killed writers, foreign lines).
     """
 
     def __init__(self, path) -> None:
@@ -295,6 +298,7 @@ class ExperimentStore:
         self._index: Dict[Tuple, Dict[int, SliceRecord]] = {}
         self._artifacts: Dict[Tuple[str, str], ArtifactRecord] = {}
         self._stat: Optional[Tuple[int, int]] = None
+        self.skipped_lines = 0
 
     # -- disk I/O ----------------------------------------------------------------
 
@@ -328,6 +332,7 @@ class ExperimentStore:
             self._index = {}
             self._artifacts = {}
             self._stat = None
+            self.skipped_lines = 0
             return
         stat = self.path.stat()
         signature = (stat.st_size, stat.st_mtime_ns)
@@ -335,6 +340,7 @@ class ExperimentStore:
             return
         index: Dict[Tuple, Dict[int, SliceRecord]] = {}
         artifacts: Dict[Tuple[str, str], ArtifactRecord] = {}
+        skipped = 0
         with self.path.open("r", encoding="utf-8") as handle:
             for line in handle:
                 record = SliceRecord.from_json(line)
@@ -345,9 +351,12 @@ class ExperimentStore:
                 if artifact is not None:
                     # Append order is write order: the latest wins.
                     artifacts[(artifact.config, artifact.kind)] = artifact
+                elif line.strip():
+                    skipped += 1
         self._index = index
         self._artifacts = artifacts
         self._stat = signature
+        self.skipped_lines = skipped
 
     def _append_line(self, data: bytes) -> None:
         """Locked single-line append, safe after a torn final line.

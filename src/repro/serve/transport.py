@@ -47,8 +47,35 @@ def _error_payload(error: BaseException) -> dict:
     return {"ok": False, "kind": kind, "error": str(error)}
 
 
+#: Longest request line the server reads (asyncio's default reader limit).
+MAX_LINE_BYTES = 2**16
+
+
 def _bad_request(request_id, error: str) -> dict:
     return {"id": request_id, "ok": False, "kind": "bad-request", "error": error}
+
+
+async def _read_line(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """The next request line (``b""`` at EOF); ``None`` if it was too long.
+
+    An over-limit line is consumed through its newline and dropped, so
+    the next read starts at the following request.
+    """
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as error:
+        return error.partial
+    except asyncio.LimitOverrunError as error:
+        consumed = error.consumed
+    while True:
+        try:
+            await reader.readexactly(consumed)
+            await reader.readuntil(b"\n")
+            return None
+        except asyncio.IncompleteReadError:
+            return None
+        except asyncio.LimitOverrunError as error:
+            consumed = error.consumed
 
 
 async def start_server(
@@ -85,7 +112,12 @@ async def start_server(
 
         try:
             while True:
-                line = await reader.readline()
+                line = await _read_line(reader)
+                if line is None:
+                    await send(_bad_request(
+                        None, f"request line exceeds {MAX_LINE_BYTES} bytes"
+                    ))
+                    continue
                 if not line:
                     break
                 try:
@@ -115,7 +147,9 @@ async def start_server(
                 task.cancel()
             writer.close()
 
-    return await asyncio.start_server(handle, host=host, port=port)
+    return await asyncio.start_server(
+        handle, host=host, port=port, limit=MAX_LINE_BYTES
+    )
 
 
 class RemoteDecodeError(ServeError):

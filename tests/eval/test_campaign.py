@@ -6,11 +6,9 @@ no pool fork -- while producing a byte-identical consolidated artifact.
 """
 
 import json
-from types import SimpleNamespace
 
 import pytest
 
-from repro.decoders import MWPMDecoder, UnionFindDecoder
 from repro.eval.campaign import (
     CampaignContext,
     campaign_status,
@@ -19,66 +17,12 @@ from repro.eval.campaign import (
     step_coverage,
 )
 from repro.eval.ler import estimate_ler_suite
-from repro.eval.pool import pool_spinups
+from repro.eval.pool import WorkerPool, pool_spinups
 from repro.eval.store import ArtifactRecord, ExperimentStore, config_key
 from repro.utils.rng import stable_seed
 
 DISTANCE = 3
 P = 3e-3
-
-
-class CountingDecoder:
-    """Forwards to an inner decoder while counting decoded shots."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.graph = inner.graph
-        self.shots_decoded = 0
-
-    def decode(self, events):
-        self.shots_decoded += 1
-        return self.inner.decode(events)
-
-    def decode_batch(self, batch):
-        self.shots_decoded += len(getattr(batch, "events", batch))
-        return self.inner.decode_batch(batch)
-
-
-@pytest.fixture()
-def bench_factory(d3_stack):
-    """A Workbench-like factory over the shared d=3 stack.
-
-    The counting decoders let tests assert exactly how much decode work
-    a campaign run performs (the cache rule's "zero work" guarantee).
-    """
-    from repro.graph import build_decoding_graph
-
-    _exp, dem, _graph = d3_stack
-    built = []
-
-    def factory(distance, p):
-        assert distance == DISTANCE
-        graph = build_decoding_graph(dem, p)
-        decoders = {
-            "MWPM": CountingDecoder(MWPMDecoder(graph)),
-            "UF": CountingDecoder(UnionFindDecoder(graph)),
-        }
-        bench = SimpleNamespace(
-            distance=distance, p=p, dem=dem, graph=graph, decoders=decoders
-        )
-        built.append(bench)
-        return bench
-
-    factory.built = built
-    return factory
-
-
-def decoded_shots(factory):
-    return sum(
-        decoder.shots_decoded
-        for bench in factory.built
-        for decoder in bench.decoders.values()
-    )
 
 
 def spec(store_path, body):
@@ -194,6 +138,30 @@ decoders = ["MWPM", "UF"]
         with pytest.raises(ValueError, match="cycle"):
             load(tmp_path, body)
 
+    def test_rejects_empty_axes(self, tmp_path):
+        body = LER_BODY.replace(
+            'kind = "eq1"', 'kind = "eq1"\nerror_rates = []'
+        )
+        with pytest.raises(ValueError, match="at least one distance"):
+            load(tmp_path, body)
+
+    def test_grid_expands_distance_major(self, tmp_path):
+        body = LER_BODY.replace(
+            'kind = "eq1"',
+            'kind = "eq1"\ndistances = [3, 5]\nerror_rates = [1e-3, 2e-3]',
+        )
+        grid = [s for s in load(tmp_path, body).steps if s.entry == "grid"]
+        assert [(s.distance, s.p) for s in grid] == [
+            (3, 1e-3), (3, 2e-3), (5, 1e-3), (5, 2e-3)
+        ]
+
+    def test_unknown_zoo_decoder_rejected_at_run(
+        self, tmp_path, bench_factory
+    ):
+        body = LER_BODY.replace('["MWPM"]', '["NotADecoder"]')
+        with pytest.raises(ValueError, match="unknown decoders"):
+            run_campaign(load(tmp_path, body), workbench_factory=bench_factory)
+
     def test_dependencies_reorder_steps(self, tmp_path):
         body = LER_BODY.replace(
             'kind = "eq1"', 'kind = "eq1"\ndepends_on = ["mc"]'
@@ -269,7 +237,7 @@ class TestCacheRule:
         result = self._run(campaign, bench_factory)
         assert result.skipped == []
         assert len(result.executed) == 2
-        assert decoded_shots(bench_factory) > 0
+        assert bench_factory.decoded_shots() > 0
         assert (tmp_path / "store.jsonl").exists()
         out = result.save(tmp_path / "out.json")
         assert json.loads(out.read_text())["campaign"] == "t"
@@ -282,7 +250,7 @@ class TestCacheRule:
         first.save(tmp_path / "first.json")
 
         spinups_before = pool_spinups()
-        fresh_cost = decoded_shots(bench_factory)
+        fresh_cost = bench_factory.decoded_shots()
         fresh = load(tmp_path)  # recompile: no state smuggled across runs
         second = self._run(fresh, bench_factory)
         second.save(tmp_path / "second.json")
@@ -291,7 +259,7 @@ class TestCacheRule:
         assert second.skipped == first.executed
         assert second.pool_forks == 0
         assert pool_spinups() == spinups_before
-        assert decoded_shots(bench_factory) == fresh_cost
+        assert bench_factory.decoded_shots() == fresh_cost
         assert (
             (tmp_path / "first.json").read_bytes()
             == (tmp_path / "second.json").read_bytes()
@@ -317,14 +285,14 @@ class TestCacheRule:
     ):
         campaign = load(tmp_path)
         self._run(campaign, bench_factory)
-        full_cost = decoded_shots(bench_factory)
+        full_cost = bench_factory.decoded_shots()
 
         grown = load(tmp_path, cli={"shots_per_k": 45})
         result = self._run(grown, bench_factory)
         # Only the eq1 step grew; the direct-MC step stays cached.
         assert [s.split("[")[0] for s in result.executed] == ["grid"]
         assert "mc" in result.skipped[0]
-        residual = decoded_shots(bench_factory) - full_cost
+        residual = bench_factory.decoded_shots() - full_cost
         assert 0 < residual < full_cost
 
     def test_torn_store_resume_reproduces_bitwise(
@@ -399,6 +367,66 @@ class TestCacheRule:
             assert [row["failures"] for row in payload["per_k"]] == [
                 est.successes for _k, _po, est in legacy[name].per_k
             ]
+
+
+# ``{extra}`` takes step keys that must precede the parallel table.
+EQ1_BODY = """
+[[steps]]
+name = "grid"
+kind = "eq1"
+decoders = ["MWPM", "UF"]
+error_rates = [3e-3, 5e-3]
+{extra}
+[steps.parallel]
+"MWPM || UF" = ["MWPM", "UF"]
+"""
+
+
+def _echo_shared(_task):
+    from repro.eval.pool import pool_shared
+
+    return pool_shared()
+
+
+class TestRefinementAndPools:
+    """Precision refinement across shard widths, and the shared pool.
+
+    Refinement under kill/resume is covered grid-wide in test_sweep.py.
+    """
+
+    @pytest.mark.parametrize("shards", [2, 3])
+    def test_sharded_equals_inline_with_one_fork(
+        self, tmp_path, bench_factory, shards
+    ):
+        """Pre-seeded k slices: any shard width reproduces the inline
+        payload, refinement rounds included, on one fork per run."""
+        body = EQ1_BODY.format(extra="min_rel_precision = 0.6")
+        inline = run_campaign(
+            load(tmp_path / "inline", body), workbench_factory=bench_factory
+        )
+        assert any(
+            estimate["trials"] > outcome.budget
+            for outcome in inline.outcomes
+            for estimate in outcome.payload["decoders"].values()
+        )
+        sharded = run_campaign(
+            load(tmp_path / "sharded", body, cli={"shards": shards}),
+            workbench_factory=bench_factory,
+        )
+        assert sharded.to_payload() == inline.to_payload()
+        assert sharded.pool_forks == 1
+
+    def test_external_pool_is_not_closed(self, tmp_path, bench_factory):
+        with WorkerPool(2) as pool:
+            run_campaign(
+                load(tmp_path, EQ1_BODY.format(extra=""), cli={"shards": 2}),
+                pool=pool,
+                workbench_factory=bench_factory,
+            )
+            # The pool stays usable after the campaign, on the same
+            # workers (a closed pool would fork a second set here).
+            assert pool.map(1, _echo_shared, [0]) == [1]
+            assert pool.forks == 1
 
 
 CENSUS_BODY = """

@@ -6,6 +6,7 @@ import pytest
 from repro.decoders import MWPMDecoder
 from repro.decoders.base import DecodeResult, Decoder
 from repro.eval.ler import (
+    Eq1Session,
     count_failures,
     estimate_ler_direct,
     estimate_ler_importance,
@@ -139,7 +140,7 @@ class TestSharding:
             )
 
     def test_persistent_pool_identical_across_payload_swaps(self, d3_stack):
-        """One WorkerPool serving several estimator calls -- including a
+        """One WorkerPool serving several Eq. (1) sessions -- including a
         shared-state swap between different p values -- must reproduce
         the per-call-pool results exactly, with a single fork."""
         from repro.eval.pool import WorkerPool
@@ -148,10 +149,11 @@ class TestSharding:
         decoders = {"MWPM": MWPMDecoder(graph)}
 
         def run(p, pool=None):
-            return estimate_ler_importance(
-                decoders, dem, p, k_max=5, shots_per_k=60, rng=42,
-                shards=3, pool=pool,
-            )["MWPM"]
+            session = Eq1Session(
+                decoders, {}, dem, p, k_max=5, rng=42, shards=3, pool=pool
+            )
+            session.evaluate_round(session.base_plan(60))
+            return session.assemble()["MWPM"]
 
         with WorkerPool(3) as pool:
             pooled = [run(3e-3, pool), run(5e-3, pool), run(3e-3, pool)]

@@ -8,9 +8,9 @@ import pytest
 from repro.decoders import MWPMDecoder, UnionFindDecoder
 from repro.decoders.base import Decoder
 from repro.eval.ler import (
+    Eq1Session,
     estimate_ler_direct,
     estimate_ler_importance,
-    estimate_ler_suite,
 )
 from repro.eval.store import (
     ExperimentStore,
@@ -100,6 +100,9 @@ class TestRoundTrip:
             handle.write('{"config": "cfg", "kind": "eq1", "k": 2')  # torn
         fresh = ExperimentStore(path)
         assert len(fresh.records()) == 1
+        assert fresh.skipped_lines == 2
+        fresh.compact()
+        assert fresh.records() and fresh.skipped_lines == 0
 
     def test_compact_drops_junk(self, tmp_path):
         path = tmp_path / "store.jsonl"
@@ -268,18 +271,19 @@ def suite_args(d3_stack):
             "MWPM": CountingDecoder(MWPMDecoder(graph)),
             "UF": CountingDecoder(UnionFindDecoder(graph)),
         }
-        results = estimate_ler_suite(
-            components=components,
-            parallel_specs={"MWPM || UF": ("MWPM", "UF")},
-            dem=dem,
-            p=3e-3,
+        session = Eq1Session(
+            components,
+            {"MWPM || UF": ("MWPM", "UF")},
+            dem,
+            3e-3,
             k_max=5,
-            shots_per_k=60,
             rng=101,
             store=store,
             store_key="suite-test" if store is not None else None,
             resume=resume,
         )
+        session.evaluate_round(session.base_plan(60))
+        results = session.assemble()
         decoded = {name: c.shots_decoded for name, c in components.items()}
         return results, decoded
 
@@ -336,18 +340,19 @@ class TestResumeSemantics:
 
         def run(shots_per_k):
             decoder = CountingDecoder(MWPMDecoder(graph))
-            results = estimate_ler_importance(
+            session = Eq1Session(
                 {"MWPM": decoder},
+                {},
                 dem,
                 3e-3,
                 k_max=4,
-                shots_per_k=shots_per_k,
                 rng=55,
                 store=store,
                 store_key="grow-test",
                 resume=True,
             )
-            return results["MWPM"], decoder.shots_decoded
+            session.evaluate_round(session.base_plan(shots_per_k))
+            return session.assemble()["MWPM"], decoder.shots_decoded
 
         # One slice per k value; the first run pays 50 shots per slice,
         # the second only the extra 70.
@@ -458,16 +463,11 @@ class TestMinRelPrecision:
         decoders = {"MWPM": MWPMDecoder(graph)}
 
         def run():
-            return estimate_ler_importance(
-                decoders,
-                dem,
-                3e-3,
-                k_max=4,
-                shots_per_k=40,
-                rng=77,
-                min_rel_precision=0.5,
-                max_refine_rounds=3,
-            )["MWPM"]
+            session = Eq1Session(decoders, {}, dem, 3e-3, k_max=4, rng=77)
+            session.evaluate_round(session.base_plan(40))
+            while plan := session.refinement_plan(0.5, max_refine_rounds=3):
+                session.evaluate_round(plan)
+            return session.assemble()["MWPM"]
 
         base = estimate_ler_importance(
             decoders, dem, 3e-3, k_max=4, shots_per_k=40, rng=77
@@ -481,15 +481,11 @@ class TestMinRelPrecision:
 
     def test_invalid_precision_rejected(self, d3_stack):
         _exp, dem, graph = d3_stack
+        session = Eq1Session(
+            {"MWPM": MWPMDecoder(graph)}, {}, dem, 3e-3, k_max=3, rng=1
+        )
         with pytest.raises(ValueError):
-            estimate_ler_importance(
-                {"MWPM": MWPMDecoder(graph)},
-                dem,
-                3e-3,
-                k_max=3,
-                rng=1,
-                min_rel_precision=0.0,
-            )
+            session.refinement_plan(0.0)
 
 
 class TestArtifacts:

@@ -1,331 +1,228 @@
-"""Sweep orchestrator: grid validation, kill-mid-grid resume, pool reuse."""
+"""Grid sweeps run as campaigns: grid validation and kill-mid-grid resume.
 
-from types import SimpleNamespace
+A grid step expands to one campaign step per (distance, p) point, all
+sharing one store.  These tests pin what a multi-point grid adds over a
+single step: validation sees the values a step inherits from
+``[defaults]``, and a campaign killed part-way through the grid resumes
+bitwise while paying only the residual decode work.
+"""
 
 import pytest
 
-from repro.decoders import MWPMDecoder, UnionFindDecoder
-from repro.eval import pool as pool_module
-from repro.eval.ler import estimate_ler_importance
-from repro.eval.pool import WorkerPool
-from repro.eval.store import ExperimentStore, config_key
-from repro.eval.sweep import SweepGrid, run_sweep
+from repro.eval.campaign import campaign_status, load_campaign_text, run_campaign
+from repro.eval.store import ExperimentStore
 
-DISTANCE = 3
 ERROR_RATES = (3e-3, 5e-3)
 
+# ``{extra}`` takes step keys that must precede the parallel table.
+EQ1_STEP = """
+[[steps]]
+name = "eq1"
+kind = "eq1"
+decoders = ["MWPM", "UF"]
+{extra}
+[steps.parallel]
+"MWPM || UF" = ["MWPM", "UF"]
+"""
 
-class CountingDecoder:
-    """Forwards to an inner decoder while counting decoded shots."""
+DIRECT_STEP = """
+[[steps]]
+name = "mc"
+kind = "direct"
+decoders = ["MWPM", "UF"]
+shots = 400
+{extra}
+"""
 
-    def __init__(self, inner):
-        self.inner = inner
-        self.graph = inner.graph
-        self.shots_decoded = 0
+#: An unreachable precision target: the refinement cap decides.
+CAPPED = "min_rel_precision = 0.01\nmax_refine_rounds = 2\n"
 
-    def decode(self, events):
-        self.shots_decoded += 1
-        return self.inner.decode(events)
-
-    def decode_batch(self, batch):
-        self.shots_decoded += len(getattr(batch, "events", batch))
-        return self.inner.decode_batch(batch)
-
-
-@pytest.fixture()
-def bench_factory(d3_stack):
-    """A Workbench-like factory over the shared d=3 stack.
-
-    Rebuilding the weighted graph per p is cheap at d=3; the counting
-    decoders let tests assert how many residual shots a resume pays.
-    """
-    from repro.graph import build_decoding_graph
-
-    _exp, dem, _graph = d3_stack
-    built = []
-
-    def factory(distance, p):
-        assert distance == DISTANCE
-        graph = build_decoding_graph(dem, p)
-        decoders = {
-            "MWPM": CountingDecoder(MWPMDecoder(graph)),
-            "UF": CountingDecoder(UnionFindDecoder(graph)),
-        }
-        bench = SimpleNamespace(
-            distance=distance,
-            p=p,
-            dem=dem,
-            decoders=decoders,
-            store_key=lambda kind, p=p: config_key(
-                code="test", distance=distance, p=p, kind=kind
-            ),
-        )
-        built.append(bench)
-        return bench
-
-    factory.built = built
-    return factory
+#: Grid-wide decoders and parallel pair, inherited by every step.
+SHARED_PARALLEL = (
+    'decoders = ["MWPM", "UF"]\n'
+    "[defaults.parallel]\n"
+    '"MWPM || UF" = ["MWPM", "UF"]\n'
+)
 
 
-def small_grid(kind="eq1"):
-    return SweepGrid(
-        distances=(DISTANCE,),
-        error_rates=ERROR_RATES,
-        kind=kind,
-        decoders=("MWPM", "UF"),
-        parallel={"MWPM || UF": ("MWPM", "UF")} if kind == "eq1" else {},
-        shots_per_k=40,
-        k_max=4,
-        shots=600,
+def grid_spec(store_path, body, defaults=""):
+    return (
+        "[campaign]\n"
+        'name = "grid"\n'
+        f'store = "{store_path}"\n'
+        "\n"
+        "[defaults]\n"
+        "distances = [3]\n"
+        f"error_rates = [{ERROR_RATES[0]}, {ERROR_RATES[1]}]\n"
+        "k_max = 4\n"
+        "shots_per_k = 40\n"
+        + defaults + "\n" + body
     )
 
 
-def comparable(result):
-    """The deterministic part of the artifact (run stats excluded)."""
-    payload = result.to_payload()
-    payload.pop("stats")
-    return payload
-
-
-def decoded_shots(factory):
-    return sum(
-        decoder.shots_decoded
-        for bench in factory.built
-        for decoder in bench.decoders.values()
+def load(directory, body, defaults=""):
+    return load_campaign_text(
+        grid_spec(directory / "store.jsonl", body, defaults)
     )
+
+
+def run(directory, body, factory):
+    return run_campaign(load(directory, body), workbench_factory=factory)
+
+
+def store_records(directory):
+    return ExperimentStore(directory / "store.jsonl").records()
+
+
+def kill_after(directory, records):
+    """A store holding only ``records``: a campaign killed after them."""
+    killed = ExperimentStore(directory / "store.jsonl")
+    for record in records:
+        killed.append(record)
 
 
 class TestGridValidation:
-    def test_rejects_bad_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            SweepGrid(distances=(3,), error_rates=(1e-3,), kind="magic")
-
-    def test_rejects_empty_axes(self):
-        with pytest.raises(ValueError):
-            SweepGrid(distances=(), error_rates=(1e-3,))
-        with pytest.raises(ValueError):
-            SweepGrid(distances=(3,), error_rates=())
-
-    def test_rejects_unknown_parallel_components(self):
-        with pytest.raises(ValueError, match="unknown components"):
-            SweepGrid(
-                distances=(3,),
-                error_rates=(1e-3,),
-                decoders=("MWPM",),
-                parallel={"bad": ("MWPM", "missing")},
-            )
-
-    def test_rejects_parallel_for_direct(self):
-        with pytest.raises(ValueError, match="eq1"):
-            SweepGrid(
-                distances=(3,),
-                error_rates=(1e-3,),
-                kind="direct",
-                decoders=("MWPM", "UF"),
-                parallel={"MWPM || UF": ("MWPM", "UF")},
-            )
-
-    def test_rejects_unknown_zoo_decoder(self, bench_factory):
-        grid = SweepGrid(
-            distances=(DISTANCE,),
-            error_rates=(3e-3,),
-            decoders=("NotADecoder",),
-            shots_per_k=10,
-            k_max=3,
+    def test_rejects_bad_kind(self, tmp_path):
+        """One bad step fails the whole grid at load time, by name."""
+        body = EQ1_STEP.format(extra="") + (
+            '\n[[steps]]\nname = "odd"\nkind = "magic"\n'
         )
-        with pytest.raises(ValueError, match="unknown decoders"):
-            run_sweep(grid, workbench_factory=bench_factory)
+        with pytest.raises(ValueError, match="'odd': kind"):
+            load(tmp_path, body)
+        # ``kind`` is per step: a step cannot inherit one from [defaults].
+        with pytest.raises(ValueError, match="'bare': kind"):
+            load(tmp_path, '[[steps]]\nname = "bare"\n', SHARED_PARALLEL)
 
-    def test_points_walk_order(self):
-        grid = SweepGrid(distances=(3, 5), error_rates=(1e-3, 2e-3))
-        assert grid.points() == [
-            (3, 1e-3), (3, 2e-3), (5, 1e-3), (5, 2e-3)
-        ]
+    def test_rejects_unknown_parallel_components(self, tmp_path):
+        """An inherited parallel pair is checked against the decoders of
+        each step, not of [defaults]."""
+        campaign = load(tmp_path, EQ1_STEP.format(extra=""), SHARED_PARALLEL)
+        assert len(campaign.steps) == len(ERROR_RATES)
+        narrow = '[[steps]]\nname = "narrow"\nkind = "eq1"\ndecoders = ["MWPM"]\n'
+        with pytest.raises(ValueError, match="'narrow'.*unknown components"):
+            load(tmp_path, narrow, SHARED_PARALLEL)
+
+    def test_rejects_parallel_for_direct(self, tmp_path):
+        """A direct step may not inherit the grid's parallel pair."""
+        inherits = '[[steps]]\nname = "ok"\nkind = "eq1"\n'
+        assert len(load(tmp_path, inherits, SHARED_PARALLEL).steps) == 2
+        direct = '[[steps]]\nname = "mc"\nkind = "direct"\n'
+        with pytest.raises(ValueError, match="'mc'.*eq1"):
+            load(tmp_path, direct, SHARED_PARALLEL)
 
 
 class TestResume:
     def test_kill_mid_grid_resumes_bitwise(self, bench_factory, tmp_path):
-        """The acceptance scenario: a sweep killed mid-grid leaves a
-        prefix of its slice records in the shared store; resuming must
-        reproduce the uninterrupted grid bitwise while decoding exactly
-        the residual shots."""
-        grid = small_grid()
-        full_store = ExperimentStore(tmp_path / "full.jsonl")
-        uninterrupted = run_sweep(
-            grid,
-            store=full_store,
-            min_rel_precision=0.6,
-            workbench_factory=bench_factory,
-        )
-        full_shots = decoded_shots(bench_factory)
-        records = full_store.records()
-        assert len(records) >= 4  # spans both grid points
+        """A campaign killed mid-grid leaves a prefix of its slice
+        records in the store; resuming reproduces the uninterrupted grid
+        bitwise while decoding exactly the residual shots."""
+        body = EQ1_STEP.format(extra="min_rel_precision = 0.6")
+        full_dir, killed_dir = tmp_path / "full", tmp_path / "killed"
+        full = run(full_dir, body, bench_factory).save(tmp_path / "full.json")
+        full_shots = bench_factory.decoded_shots()
+        records = store_records(full_dir)
+        assert len({record.config for record in records}) == len(ERROR_RATES)
 
         bench_factory.built.clear()
-        killed_store = ExperimentStore(tmp_path / "killed.jsonl")
         surviving = records[: len(records) // 2]
-        for record in surviving:
-            killed_store.append(record)
-        resumed = run_sweep(
-            grid,
-            store=killed_store,
-            resume=True,
-            min_rel_precision=0.6,
-            workbench_factory=bench_factory,
-        )
-        assert comparable(resumed) == comparable(uninterrupted)
+        kill_after(killed_dir, surviving)
+        resumed = run(killed_dir, body, bench_factory)
+        assert resumed.executed
+        resumed.save(tmp_path / "resumed.json")
+        assert full.read_bytes() == (tmp_path / "resumed.json").read_bytes()
+        # Both decoders of a point decode each of its slices' shots, so
+        # the replayed saving is twice the stored shots.
         stored_shots = sum(record.shots for record in surviving)
-        # Every decoder of a point decodes each of its slices' shots, so
-        # the replayed shot saving is (decoders per point) * stored.
-        names_per_point = 2
-        assert (
-            decoded_shots(bench_factory)
-            == full_shots - names_per_point * stored_shots
-        )
-        assert len(killed_store.records()) == len(records)
+        assert bench_factory.decoded_shots() == full_shots - 2 * stored_shots
+        assert len(store_records(killed_dir)) == len(records)
 
     def test_resume_matches_fresh_when_round_cap_binds(
         self, bench_factory, tmp_path
     ):
-        """Regression: the refinement stopping rule must be a function
-        of the accumulated counts, not of rounds executed by the current
-        process.  With an unreachable precision target the cap binds;
-        a resumed run used to get a fresh round budget and overshoot."""
-        grid = small_grid()
-        kwargs = dict(
-            min_rel_precision=0.01,  # unreachable: the cap decides
-            max_refine_rounds=2,
-            workbench_factory=bench_factory,
+        """The refinement stopping rule is a function of the accumulated
+        counts, not of the rounds this process ran: a resumed run must
+        stop exactly where the fresh one did, even when the cap binds."""
+        body = EQ1_STEP.format(extra=CAPPED)
+        fresh = run(tmp_path, body, bench_factory)
+        fresh.save(tmp_path / "fresh.json")
+        for outcome in fresh.outcomes:
+            for estimate in outcome.payload["decoders"].values():
+                assert estimate["trials"] > outcome.budget  # refinement ran
+        store_path = tmp_path / "store.jsonl"
+        lines = store_path.read_text().splitlines(keepends=True)
+        store_path.write_text(
+            "".join(lines[: len(lines) // 2]) + '{"slice": {"config": "to'
         )
-        full_store = ExperimentStore(tmp_path / "full.jsonl")
-        uninterrupted = run_sweep(grid, store=full_store, **kwargs)
-        records = full_store.records()
 
-        killed_store = ExperimentStore(tmp_path / "killed.jsonl")
-        for record in records[: len(records) // 2]:
-            killed_store.append(record)
-        resumed = run_sweep(grid, store=killed_store, resume=True, **kwargs)
-        assert comparable(resumed) == comparable(uninterrupted)
-        assert len(killed_store.records()) == len(records)
+        resumed = run(tmp_path, body, bench_factory)
+        assert resumed.executed
+        resumed.save(tmp_path / "resumed.json")
+        assert (
+            (tmp_path / "fresh.json").read_bytes()
+            == (tmp_path / "resumed.json").read_bytes()
+        )
+        # No overshoot: the resumed store holds exactly the fresh records.
+        assert len(store_records(tmp_path)) == len(lines)
 
     def test_full_resume_decodes_nothing(self, bench_factory, tmp_path):
-        grid = small_grid()
-        store = ExperimentStore(tmp_path / "s.jsonl")
-        first = run_sweep(
-            grid, store=store, min_rel_precision=0.6,
-            workbench_factory=bench_factory,
-        )
+        body = EQ1_STEP.format(extra="min_rel_precision = 0.6")
+        run(tmp_path, body, bench_factory).save(tmp_path / "first.json")
+
         bench_factory.built.clear()
-        resumed = run_sweep(
-            grid, store=store, resume=True, min_rel_precision=0.6,
-            workbench_factory=bench_factory,
+        resumed = run(tmp_path, body, bench_factory)
+        assert resumed.executed == []
+        assert len(resumed.skipped) == len(ERROR_RATES)
+        assert resumed.pool_forks == 0
+        assert bench_factory.decoded_shots() == 0
+        resumed.save(tmp_path / "resumed.json")
+        assert (
+            (tmp_path / "first.json").read_bytes()
+            == (tmp_path / "resumed.json").read_bytes()
         )
-        assert comparable(resumed) == comparable(first)
-        assert decoded_shots(bench_factory) == 0
 
     def test_direct_kill_mid_grid_resumes_bitwise(
         self, bench_factory, tmp_path
     ):
-        grid = small_grid(kind="direct")
-        full_store = ExperimentStore(tmp_path / "full.jsonl")
-        uninterrupted = run_sweep(
-            grid, store=full_store, workbench_factory=bench_factory
-        )
-        records = full_store.records()
+        """Direct MC with a binding refinement cap, killed after its
+        first slice: the resume stops at the fresh run's trial count."""
+        body = DIRECT_STEP.format(extra=CAPPED)
+        full_dir, killed_dir = tmp_path / "full", tmp_path / "killed"
+        fresh = run(full_dir, body, bench_factory)
+        for outcome in fresh.outcomes:
+            # Doubling from 400 stops at the 2**2 cap, not at the target.
+            assert outcome.payload["decoders"]["MWPM"]["trials"] == 1600
+        full = fresh.save(tmp_path / "full.json")
+        records = store_records(full_dir)
         assert len(records) >= 2
 
-        bench_factory.built.clear()
-        killed_store = ExperimentStore(tmp_path / "killed.jsonl")
-        for record in records[:1]:
-            killed_store.append(record)
-        resumed = run_sweep(
-            grid, store=killed_store, resume=True,
-            workbench_factory=bench_factory,
-        )
-        assert comparable(resumed) == comparable(uninterrupted)
-        assert len(killed_store.records()) == len(records)
-
-    def test_fresh_run_on_dirty_store_rejected(self, bench_factory, tmp_path):
-        """A fresh (resume=False) sweep against a store that already
-        holds records for one of its points would collide on run indices
-        and feed the growth rounds stale slices -- refuse it."""
-        grid = small_grid()
-        store = ExperimentStore(tmp_path / "s.jsonl")
-        run_sweep(grid, store=store, workbench_factory=bench_factory)
-        with pytest.raises(ValueError, match="resume=True"):
-            run_sweep(grid, store=store, workbench_factory=bench_factory)
+        kill_after(killed_dir, records[:1])
+        resumed = run(killed_dir, body, bench_factory)
+        assert len(resumed.executed) == len(ERROR_RATES)
+        resumed.save(tmp_path / "resumed.json")
+        assert full.read_bytes() == (tmp_path / "resumed.json").read_bytes()
+        assert len(store_records(killed_dir)) == len(records)
 
     def test_usable_trials_reported(self, bench_factory, tmp_path):
-        grid = small_grid()
-        store = ExperimentStore(tmp_path / "s.jsonl")
-        result = run_sweep(grid, store=store, workbench_factory=bench_factory)
-        for entry in result.points:
-            assert entry.usable_trials is not None
-            assert entry.usable_trials == sum(
+        """Status and a cached re-run report, per grid point, exactly
+        the trials its store records hold."""
+        body = EQ1_STEP.format(extra="")
+        before = campaign_status(
+            load(tmp_path, body), workbench_factory=bench_factory
+        )
+        assert [entry.usable for entry in before] == [0, 0]
+
+        run(tmp_path, body, bench_factory)
+        cached = run(tmp_path, body, bench_factory)
+        status = campaign_status(
+            load(tmp_path, body), workbench_factory=bench_factory
+        )
+        records = store_records(tmp_path)
+        for outcome, entry in zip(cached.outcomes, status):
+            stored = sum(
                 record.shots
-                for record in store.records()
-                if record.config == entry.store_key
+                for record in records
+                if record.config == entry.step.config()
             )
-
-
-class TestPoolReuse:
-    def test_sharded_equals_inline(self, bench_factory, tmp_path):
-        """The persistent-pool path must produce the inline results at
-        any shard width (pre-seeded slices; scheduling-independent)."""
-        grid = small_grid()
-        inline = run_sweep(
-            grid, shards=1, min_rel_precision=0.6,
-            workbench_factory=bench_factory,
-        )
-        for shards in (2, 3):
-            sharded = run_sweep(
-                grid, shards=shards, min_rel_precision=0.6,
-                workbench_factory=bench_factory,
-            )
-            assert comparable(sharded) == comparable(inline)
-
-    def test_one_fork_for_whole_sweep(self, bench_factory):
-        """A 2-point, multi-refinement-round sweep forks its worker set
-        exactly once; the per-call baseline forks per sharded round."""
-        grid = small_grid()
-        before = pool_module.pool_spinups()
-        result = run_sweep(
-            grid, shards=2, min_rel_precision=0.4, max_refine_rounds=3,
-            workbench_factory=bench_factory,
-        )
-        persistent_spinups = pool_module.pool_spinups() - before
-        assert result.pool_forks == 1
-        assert persistent_spinups == 1
-
-        # Per-call baseline: the same work through the one-shot
-        # estimators (no pool) forks at least once per grid point.
-        before = pool_module.pool_spinups()
-        for bench in list(bench_factory.built):
-            estimate_ler_importance(
-                {"MWPM": bench.decoders["MWPM"], "UF": bench.decoders["UF"]},
-                bench.dem,
-                bench.p,
-                k_max=grid.k_max,
-                shots_per_k=grid.shots_per_k,
-                rng=7,
-                shards=2,
-                min_rel_precision=0.4,
-                max_refine_rounds=3,
-            )
-        baseline_spinups = pool_module.pool_spinups() - before
-        assert baseline_spinups >= 2 * persistent_spinups
-
-    def test_external_pool_is_not_closed(self, bench_factory):
-        grid = small_grid()
-        with WorkerPool(2) as pool:
-            run_sweep(
-                grid, shards=2, pool=pool, workbench_factory=bench_factory
-            )
-            # The pool stays usable after the sweep.
-            assert pool.map(1, _echo_shared, [0]) == [1]
-
-
-def _echo_shared(_task):
-    from repro.eval.pool import pool_shared
-
-    return pool_shared()
+            assert stored > 0
+            assert outcome.usable == entry.usable == stored
+            assert outcome.cached and entry.covered

@@ -4,6 +4,11 @@ The Promatch algorithm tests need precise control over the decoding
 subgraph shape (the paper's Figures 7, 9, 12, 13).  These helpers build a
 :class:`~repro.graph.decoding_graph.DecodingGraph` directly from an edge
 list, bypassing circuits entirely.
+
+:class:`ShotCountingDecoder` wraps a real decoder to count decoded shots.
+It lives here, in a uniquely named module, so worker pools can pickle it
+by reference (a class defined in a ``conftest`` cannot be: several
+``conftest`` modules share that name).
 """
 
 from __future__ import annotations
@@ -94,3 +99,20 @@ def figure9_graph() -> DecodingGraph:
         ],
         boundary=[(i, 60.0) for i in range(6)],
     )
+
+
+class ShotCountingDecoder:
+    """Forwards to an inner decoder while counting decoded shots."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.graph = inner.graph
+        self.shots_decoded = 0
+
+    def decode(self, events):
+        self.shots_decoded += 1
+        return self.inner.decode(events)
+
+    def decode_batch(self, batch):
+        self.shots_decoded += len(getattr(batch, "events", batch))
+        return self.inner.decode_batch(batch)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _campaign_cli, build_parser, main
 
 
 class TestParser:
@@ -23,19 +23,22 @@ class TestParser:
         assert args.shots_per_k == 50
 
     def test_sweep_options(self):
+        """A grid sweep's flags map onto the campaign knobs they override."""
         args = build_parser().parse_args(
             [
-                "sweep",
+                "campaign", "run", "grid.toml",
                 "--distances", "3,5",
-                "--ps", "1e-3,3e-3",
                 "--min-rel-precision", "0.3",
                 "--store", "s.jsonl",
-                "--resume",
+                "--shards", "2",
             ]
         )
-        assert args.distances == "3,5"
-        assert args.min_rel_precision == 0.3
-        assert args.resume
+        cli = _campaign_cli(args)
+        assert cli["distances"] == [3, 5]
+        assert cli["min_rel_precision"] == 0.3
+        assert cli["store"] == "s.jsonl"
+        assert cli["shards"] == 2
+        assert cli["k_max"] is None  # flag not given: the spec decides
 
 
 class TestCommands:
@@ -80,41 +83,40 @@ class TestCommands:
             main(["ler", "--distance", "3", "--decoders", "NotADecoder"])
 
     def test_sweep_with_store_resume_and_artifact(self, capsys, tmp_path):
+        """A two-point grid campaign killed mid-run resumes from its
+        store and writes a byte-identical artifact."""
+        spec = tmp_path / "grid.toml"
+        spec.write_text(
+            "[campaign]\n"
+            'name = "grid"\n'
+            "\n"
+            "[[steps]]\n"
+            'name = "eq1"\n'
+            'kind = "eq1"\n'
+            "distances = [3]\n"
+            "error_rates = [2e-3, 4e-3]\n"
+            'decoders = ["MWPM"]\n'
+            "shots_per_k = 30\n"
+            "k_max = 3\n"
+        )
         store = tmp_path / "grid.jsonl"
-        argv = [
-            "sweep",
-            "--distances", "3",
-            "--ps", "2e-3,4e-3",
-            "--decoders", "MWPM",
-            "--shots-per-k", "30",
-            "--k-max", "3",
-            "--store", str(store),
-            "--out", str(tmp_path / "first.json"),
-        ]
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "sweep (eq1) | d=3" in out
-        assert "usable trials in store" in out
-        assert store.exists()
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        argv = ["campaign", "run", str(spec), "--store", str(store)]
+        assert main(argv + ["--out", str(first)]) == 0
+        assert "executed 2 steps, skipped 0 cached steps" in (
+            capsys.readouterr().out
+        )
 
-        argv[-1] = str(tmp_path / "second.json")
-        assert main(argv + ["--resume"]) == 0
-        capsys.readouterr()
-        import json
-
-        first = json.loads((tmp_path / "first.json").read_text())
-        second = json.loads((tmp_path / "second.json").read_text())
-        first.pop("stats")
-        second.pop("stats")
-        assert first == second
-
-    def test_sweep_unknown_decoder(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(
-                ["sweep", "--distances", "3", "--ps", "2e-3",
-                 "--decoders", "NotADecoder", "--shots-per-k", "10",
-                 "--k-max", "3"]
-            )
+        # Kill mid-grid: keep the first half of the store, torn tail.
+        lines = store.read_text().splitlines(keepends=True)
+        store.write_text(
+            "".join(lines[: len(lines) // 2]) + '{"slice": {"config": "to'
+        )
+        assert main(argv + ["--out", str(second)]) == 0
+        assert "executed 1 steps, skipped 1 cached steps" in (
+            capsys.readouterr().out
+        )
+        assert second.read_bytes() == first.read_bytes()
 
     def test_steps(self, capsys):
         code = main(
@@ -154,6 +156,14 @@ class TestStoreCommand:
         assert main(["store", "info", str(path)]) == 0
         out = capsys.readouterr().out
         assert "live" in out and "stale" in out and "100" in out
+        assert "0 unreadable lines skipped" in out
+        # A killed writer's torn tail is skipped, and counted.
+        with path.open("a") as handle:
+            handle.write('{"slice": {"config": "to')
+        assert main(["store", "info", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "live" in out and "stale" in out and "100" in out
+        assert "1 unreadable line skipped" in out
 
     def test_prune_drops_stale_configs(self, capsys, tmp_path):
         path = self._seed_store(tmp_path)
@@ -251,6 +261,12 @@ class TestCampaignCommand:
         assert "executed 0 steps, skipped 1 cached steps" in text
         assert "pool forks 0" in text
         assert out.read_bytes() == first
+
+    def test_unknown_decoder_exits(self, tmp_path):
+        spec = self._write_spec(tmp_path)
+        spec.write_text(spec.read_text().replace('"MWPM"', '"NotADecoder"'))
+        with pytest.raises(SystemExit, match="unknown decoders"):
+            main(["campaign", "run", str(spec)])
 
     def test_store_info_campaign_coverage(self, capsys, tmp_path):
         spec = self._write_spec(tmp_path)

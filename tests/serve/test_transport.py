@@ -10,7 +10,12 @@ import asyncio
 import pytest
 
 from repro.serve import DecodeService, DecoderPool
-from repro.serve.transport import RemoteDecodeError, ServeClient, start_server
+from repro.serve.transport import (
+    MAX_LINE_BYTES,
+    RemoteDecodeError,
+    ServeClient,
+    start_server,
+)
 
 
 def run(coro):
@@ -103,6 +108,30 @@ def test_malformed_line_reports_bad_request(counting_decoder):
         # The connection survives: a well-formed request still works.
         result = await client.decode("cfg", (3,))
         assert result.success
+        await teardown(service, server, client)
+
+    run(main())
+
+
+def test_over_limit_line_reports_bad_request(counting_decoder):
+    # A line past the stream reader's limit used to raise out of
+    # ``readline``: the connection dropped and later requests on it
+    # were never answered.
+    async def main():
+        service, server, client = await served(counting_decoder)
+        events = ",".join(["1"] * 40_000)
+        line = f'{{"id": 5, "config": "cfg", "events": [{events}]}}\n'
+        assert len(line) > MAX_LINE_BYTES
+        message = await _send_raw(client, line.encode())
+        assert message == {
+            "id": None, "ok": False, "kind": "bad-request",
+            "error": f"request line exceeds {MAX_LINE_BYTES} bytes",
+        }
+        # The whole line was dropped, and the connection still answers.
+        assert await client.configs() == ["cfg"]
+        result = await client.decode("cfg", (3,))
+        assert result.success
+        assert counting_decoder.seen == [(3,)]
         await teardown(service, server, client)
 
     run(main())
